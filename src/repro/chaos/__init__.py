@@ -19,8 +19,8 @@ chaos seed) pair reproduces a run bit-for-bit, and a disabled session
 costs one global read per hook (``benchmarks/bench_chaos_overhead.py``
 enforces < 1% on the batched forward path).
 
-``python -m repro soak`` sweeps the serve/shard/resume/train scenarios
-across seeds with chaos on, emitting a pass/flake matrix; ``--gate``
+``python -m repro soak`` sweeps the serve/shard/resume/train/fleet/sdc
+scenarios across seeds with chaos on, emitting a pass/flake matrix; ``--gate``
 turns any failure into a non-zero exit for CI.
 """
 

@@ -45,6 +45,7 @@ harness to flag it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import tempfile
@@ -56,7 +57,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.chaos.session import session as chaos_scope
-from repro.chaos.audit import audit_serve_run, capture_accounting
 from repro.chaos.injectors import apply_file_injection
 from repro.chaos.plan import ChaosPlan, ChaosProfile, Injection, compile_plan
 from repro.errors import ChaosError
@@ -109,83 +109,77 @@ def _digest(doc, arrays=()) -> str:
     return h.hexdigest()
 
 
-def _serve_digest(report) -> str:
-    return _digest(
-        report.decisions, arrays=[c.output for c in report.completed]
-    )
+def _serving_cell(result, replay, audit, **detail) -> dict:
+    """One serving scenario attempt as a soak-cell record.
+
+    ``result``/``replay`` are two identically seeded runs (anything with
+    ``report`` and ``chaos_applied``); ``audit`` is the run's
+    :class:`~repro.chaos.audit.AuditResult`; ``detail`` extends the
+    informational detail block.
+    """
+    failed = audit.failed()
+    if result.chaos_applied != replay.chaos_applied:
+        failed.append("chaos_replay: applied injections differ between runs")
+    applied: dict[str, int] = {}
+    for record in result.chaos_applied:
+        applied[record["kind"]] = applied.get(record["kind"], 0) + 1
+    report = result.report
+    return {
+        "ok": not failed,
+        "failed": failed,
+        "digest": report.digest(),
+        "applied": applied,
+        "detail": {
+            "submitted": report.submitted,
+            "completed": len(report.completed),
+            "shed": report.shed_by_reason(),
+            **detail,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
 # serve scenario
 # ---------------------------------------------------------------------------
 def _serve_workload_config(seed: int):
-    from repro.serving.server import ServerConfig
+    """The serve workload at soak size, with no forced degradation (the
+    chaos plan supplies the faults)."""
     from repro.serving.workload import Phase, WorkloadConfig
 
-    return WorkloadConfig(
-        n_workers=2,
+    base = WorkloadConfig()
+    return dataclasses.replace(
+        base,
         seed=int(seed),
         phases=(
             Phase("warm", 80, 0.6),
             Phase("burst", 80, 2.0),
             Phase("drain", 80, 0.35),
         ),
-        server=ServerConfig(
-            max_queue_depth=64,
-            max_batch=16,
-            slo_latency_s=1e-5,
-            max_retries=2,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
-            seed=int(seed),
-        ),
+        degrade_fraction=0.0,
+        server=dataclasses.replace(base.server, seed=int(seed)),
     )
 
 
-def _serve_exec(seed: int, chaos_enabled: bool, sabotage: bool = False):
-    """One full serving run (fresh fleet); returns run artifacts."""
-    from repro.serving.server import TridentServer
-    from repro.serving.workload import (
-        build_worker,
-        sustainable_rate_hz,
-        synthesize_arrivals,
-    )
+def _serve_chaos_plan(config, sabotage: bool = False):
+    """Chaos-plan factory for the serve cell, sized to the arrival span."""
 
-    config = _serve_workload_config(seed)
-    workers = [
-        build_worker(i, config.dims, config.seed + 101 * i)
-        for i in range(config.n_workers)
-    ]
-    server = TridentServer(workers, config=config.server)
-    rate = sustainable_rate_hz(workers, config.server.max_batch)
-    rng = np.random.default_rng(config.seed)
-    arrivals, _ = synthesize_arrivals(config, rate, rng)
-    window_s = arrivals[-1].arrival_s
-    pre = capture_accounting(workers)
-    if not chaos_enabled:
-        report = server.run(arrivals)
-        return report, workers, pre, None
-    plan = compile_plan(
-        ChaosProfile(
-            window_s=window_s,
-            workers=tuple(range(config.n_workers)),
-            crashes=2,
-            corruptions=1,
-            stuck_bursts=1,
-            drift_bursts=1,
-            breaker_storms=1,
-            stuck_fraction=0.05,
-            stuck_level=254,
-            clock_jitter_s=1e-8,
-        ),
-        _chaos_seed(seed),
-    )
-    if sabotage:
-        plan = ChaosPlan(
-            seed=plan.seed,
-            injections=plan.injections
+    def plan(window_s: float) -> ChaosPlan:
+        compiled = compile_plan(
+            ChaosProfile(
+                window_s=window_s,
+                workers=tuple(range(config.n_workers)),
+                drift_bursts=1,
+                stuck_fraction=0.05,
+                stuck_level=254,
+                clock_jitter_s=1e-8,
+            ),
+            _chaos_seed(config.seed),
+        )
+        if not sabotage:
+            return compiled
+        return ChaosPlan(
+            seed=compiled.seed,
+            injections=compiled.injections
             + (
                 Injection(
                     0.5 * window_s,
@@ -194,145 +188,71 @@ def _serve_exec(seed: int, chaos_enabled: bool, sabotage: bool = False):
                     {"note": "soak self-audit: intentionally unhandled fault"},
                 ),
             ),
-            clock_jitter_s=plan.clock_jitter_s,
+            clock_jitter_s=compiled.clock_jitter_s,
         )
-    with chaos_scope(plan) as session:
-        server.install_chaos(session)
-        report = server.run(arrivals)
-    return report, workers, pre, session
+
+    return plan
 
 
 def _run_serve(seed: int, chaos_enabled: bool, sabotage: bool = False) -> dict:
-    report, workers, pre, session = _serve_exec(seed, chaos_enabled, sabotage)
-    replay_report, _, _, replay_session = _serve_exec(
-        seed, chaos_enabled, sabotage
+    from repro.serving.workload import run_serve_workload
+
+    config = _serve_workload_config(seed)
+    plan = _serve_chaos_plan(config, sabotage) if chaos_enabled else None
+    result, replay = (
+        run_serve_workload(config, chaos_plan=plan) for _ in range(2)
     )
-    result = audit_serve_run(
-        report,
-        workers=workers,
-        pre_accounting=pre,
-        replay=replay_report,
-        session=session,
+    return _serving_cell(
+        result,
+        replay,
+        result.audit(replay),
+        retries=result.report.retries_scheduled,
     )
-    failed = result.failed()
-    applied = session.applied_counts() if session is not None else {}
-    if session is not None and session.applied != replay_session.applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(report),
-        "applied": applied,
-        "detail": {
-            "submitted": report.submitted,
-            "completed": len(report.completed),
-            "shed": report.shed_by_reason(),
-            "retries": report.retries_scheduled,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
 # shard scenario
 # ---------------------------------------------------------------------------
-def _shard_workload_config(seed: int):
-    from repro.serving.server import ServerConfig
-    from repro.serving.shard_workload import ShardWorkloadConfig
+def _run_shard(seed: int, chaos_enabled: bool) -> dict:
+    from repro.serving.shard_workload import (
+        ShardWorkloadConfig,
+        outputs_bit_identical,
+        plan_workload,
+        run_shard_workload,
+    )
 
-    return dataclasses.replace(
-        ShardWorkloadConfig(),
+    base = ShardWorkloadConfig()
+    config = dataclasses.replace(
+        base,
         seed=int(seed),
         n_requests=64,
-        server=ServerConfig(
-            max_queue_depth=512,
-            max_batch=16,
-            slo_latency_s=1e-5,
-            max_retries=5,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
-            seed=int(seed),
-        ),
+        server=dataclasses.replace(base.server, seed=int(seed)),
     )
-
-
-def _shard_exec(seed: int, chaos_enabled: bool):
-    from repro.serving.server import TridentServer
-    from repro.serving.shard_workload import (
-        build_pipeline_worker,
-        plan_workload,
-        synthesize_shard_arrivals,
-    )
-
-    config = _shard_workload_config(seed)
-    worker = build_pipeline_worker(config, overlap=True)
-    server = TridentServer([worker], config=config.server)
-    arrivals = synthesize_shard_arrivals(config)
-    pre = capture_accounting([worker])
-    if not chaos_enabled:
-        report = server.run(arrivals)
-        return config, report, [worker], pre, None
-    n_stages = plan_workload(config).n_stages
-    plan = compile_plan(
-        ChaosProfile(
-            window_s=config.arrival_window_s * 2.0,
-            workers=(0,),
-            stages=tuple(range(n_stages)),
-            crashes=1,
-            corruptions=1,
-            stuck_bursts=1,
-            drift_bursts=0,
-            breaker_storms=1,
-            stuck_fraction=0.04,
-            stuck_level=254,
-            clock_jitter_s=1e-8,
-        ),
-        _chaos_seed(seed),
-    )
-    with chaos_scope(plan) as session:
-        server.install_chaos(session)
-        report = server.run(arrivals)
-    return config, report, [worker], pre, session
-
-
-def _run_shard(seed: int, chaos_enabled: bool) -> dict:
-    from repro.serving.shard_workload import outputs_bit_identical
-
-    config, report, workers, pre, session = _shard_exec(seed, chaos_enabled)
-    _, replay_report, _, _, replay_session = _shard_exec(seed, chaos_enabled)
-    result = audit_serve_run(
-        report,
-        workers=workers,
-        pre_accounting=pre,
-        replay=replay_report,
-        session=session,
-    )
-    result.record(
-        "reference_oracle_outputs",
-        outputs_bit_identical(config, report),
-        "a completed output differs from the single-accelerator reference",
-    )
-    failed = [f for f in result.failed() if not f.startswith("reference_oracle")]
-    if not outputs_bit_identical(config, report):
-        failed.append(
-            "reference_oracle_outputs: completed output differs from reference"
+    plan = None
+    if chaos_enabled:
+        plan = compile_plan(
+            ChaosProfile(
+                window_s=config.arrival_window_s * 2.0,
+                stages=tuple(range(plan_workload(config).n_stages)),
+                crashes=1,
+                stuck_fraction=0.04,
+                stuck_level=254,
+                clock_jitter_s=1e-8,
+            ),
+            _chaos_seed(seed),
         )
-    applied = session.applied_counts() if session is not None else {}
-    if session is not None and session.applied != replay_session.applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(report),
-        "applied": applied,
-        "detail": {
-            "submitted": report.submitted,
-            "completed": len(report.completed),
-            "shed": report.shed_by_reason(),
-            "retries": report.retries_scheduled,
-        },
-    }
+    result, replay = (
+        run_shard_workload(config, chaos_plan=plan) for _ in range(2)
+    )
+    audit = result.audit(replay)
+    audit.record(
+        "reference_oracle_outputs",
+        outputs_bit_identical(config, result.report),
+        "completed output differs from reference",
+    )
+    return _serving_cell(
+        result, replay, audit, retries=result.report.retries_scheduled
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +294,12 @@ def _run_resume(seed: int, chaos_enabled: bool) -> dict:
         failed.append("resume_incomplete: cells missing after resume")
     if resumed.clean_accuracy != baseline.clean_accuracy:
         failed.append("clean_accuracy_drift")
-    base_rows = sorted(
-        (row.as_dict() for row in baseline.rows),
-        key=lambda d: (d["fraction"], d["policy"], d["trial"]),
-    )
-    resumed_rows = sorted(
-        (row.as_dict() for row in resumed.rows),
-        key=lambda d: (d["fraction"], d["policy"], d["trial"]),
+    base_rows, resumed_rows = (
+        sorted(
+            (row.as_dict() for row in report.rows),
+            key=lambda d: (d["fraction"], d["policy"], d["trial"]),
+        )
+        for report in (baseline, resumed)
     )
     if base_rows != resumed_rows:
         failed.append(
@@ -399,28 +318,13 @@ def _run_resume(seed: int, chaos_enabled: bool) -> dict:
 # train scenario (bit-rotted checkpoint)
 # ---------------------------------------------------------------------------
 def _train_trainer(seed: int, directory: str):
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.devices.program_verify import ProgramVerifyConfig
     from repro.runtime import ResilienceConfig, ResilientTrainer
+    from repro.serving.workload import build_chip, mlp_weights
     from repro.training.insitu import InSituTrainer
 
-    dims = [6, 8, 3]
-    rows = max(dims)
-    acc = TridentAccelerator(
-        config=TridentConfig(
-            bank_rows=rows, bank_cols=rows, spare_rows=2, convergence_floor=0.0
-        ),
-        seed=int(seed),
-        program_verify=ProgramVerifyConfig(),
-    )
-    acc.map_mlp(dims)
-    rng = np.random.default_rng(seed + 1)
-    acc.set_weights(
-        [
-            rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-            for i in range(len(dims) - 1)
-        ]
-    )
+    dims = (6, 8, 3)
+    acc = build_chip(dims, int(seed), spare_rows=2)
+    acc.set_weights(mlp_weights(dims, seed))
     return ResilientTrainer(
         InSituTrainer(acc, lr=0.05),
         directory,
@@ -547,14 +451,6 @@ def _fleet_plan(scenario):
     )
 
 
-def _fleet_exec(seed: int, chaos_enabled: bool):
-    from repro.fleet import run_fleet_workload
-
-    scenario = _fleet_scenario(seed)
-    plan = _fleet_plan(scenario) if chaos_enabled else None
-    return run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-
-
 def _run_fleet(seed: int, chaos_enabled: bool) -> dict:
     """Gate: conservation + recovery-to-nominal + bit-identical replay.
 
@@ -565,63 +461,29 @@ def _run_fleet(seed: int, chaos_enabled: bool) -> dict:
     conservation, replay), not on smoke's exact-episode counts.
     """
     from repro.chaos.audit import audit_fleet_run
-    from repro.fleet import fleet_digest
+    from repro.fleet import run_fleet_workload
 
-    result = _fleet_exec(seed, chaos_enabled)
-    replay = _fleet_exec(seed, chaos_enabled)
-    audit = audit_fleet_run(result, replay=replay)
-    failed = audit.failed()
-    if result.chaos_applied != replay.chaos_applied:
-        failed.append("chaos_replay: applied injections differ between runs")
-    applied: dict[str, int] = {}
-    for record in result.chaos_applied:
-        applied[record["kind"]] = applied.get(record["kind"], 0) + 1
+    scenario = _fleet_scenario(seed)
+    plan = _fleet_plan(scenario) if chaos_enabled else None
+    result, replay = (
+        run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
+        for _ in range(2)
+    )
     controller = result.controller
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": fleet_digest(result),
-        "applied": applied,
-        "detail": {
-            "submitted": result.report.submitted,
-            "completed": len(result.report.completed),
-            "shed": result.report.shed_by_reason(),
-            "fleet": result.pool.counts(),
-            "scale_ups": controller.scale_up_events,
-            "scale_downs": controller.scale_down_events,
-            "degraded_entries": controller.degraded_entries,
-        },
-    }
+    return _serving_cell(
+        result,
+        replay,
+        audit_fleet_run(result, replay=replay),
+        fleet=result.pool.counts(),
+        scale_ups=controller.scale_up_events,
+        scale_downs=controller.scale_down_events,
+        degraded_entries=controller.degraded_entries,
+    )
 
 
 # ---------------------------------------------------------------------------
 # sdc scenario (ABFT attestation under silent corruption)
 # ---------------------------------------------------------------------------
-def _sdc_workload_config(seed: int):
-    from repro.integrity import IntegrityWorkloadConfig
-
-    # Shrunk request count: soak cells must stay cheap, and the
-    # attestation arc needs batches, not queue pressure.
-    return dataclasses.replace(
-        IntegrityWorkloadConfig(), seed=int(seed), n_requests=96
-    )
-
-
-def _sdc_exec(seed: int, chaos_enabled: bool):
-    from repro.integrity import make_sdc_plan, run_integrity_workload
-
-    config = _sdc_workload_config(seed)
-    plan = None
-    if chaos_enabled:
-        # run_integrity_workload calls the factory with the computed
-        # arrival span, which is not known before the fleet is built.
-        def plan(window_s):
-            """Chaos-plan factory: size the plan to the arrival span."""
-            return make_sdc_plan(config, window_s)
-
-    return config, run_integrity_workload(config, chaos_plan=plan)
-
-
 def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
     """Gate: injections land + trip + attest, zero trips when clean.
 
@@ -631,50 +493,52 @@ def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
     checks added here are the scenario-specific ones — that the chaos
     actually exercised the defense.
     """
-    config, result = _sdc_exec(seed, chaos_enabled)
-    _, replay = _sdc_exec(seed, chaos_enabled)
-    audit = audit_serve_run(
-        result.report,
-        workers=result.workers,
-        pre_accounting=result.pre_accounting,
-        replay=replay.report,
-        session=result.session,
+    from repro.integrity import (
+        IntegrityWorkloadConfig,
+        make_sdc_plan,
+        run_integrity_workload,
     )
-    failed = audit.failed()
-    if (
-        result.session is not None
-        and replay.session is not None
-        and result.session.applied != replay.session.applied
-    ):
-        failed.append("chaos_replay: applied injections differ between runs")
-    applied = result.session.applied_counts() if result.session else {}
+
+    # Shrunk request count: soak cells must stay cheap, and the
+    # attestation arc needs batches, not queue pressure.
+    config = dataclasses.replace(
+        IntegrityWorkloadConfig(), seed=int(seed), n_requests=96
+    )
+    plan = functools.partial(make_sdc_plan, config) if chaos_enabled else None
+    result, replay = (
+        run_integrity_workload(config, chaos_plan=plan) for _ in range(2)
+    )
+    audit = result.audit(replay)
     counters = result.counters_total()
-    n_injected = applied.get("silent_corrupt", 0)
-    if chaos_enabled and n_injected < config.silent_corruptions:
-        failed.append(
-            f"sdc_injection: only {n_injected}/{config.silent_corruptions} "
-            "silent corruptions landed inside the run"
+    tripped = counters.get("tripped", 0)
+    n_injected = sum(
+        record["kind"] == "silent_corrupt" for record in result.chaos_applied
+    )
+    if chaos_enabled:
+        audit.record(
+            "sdc_injection",
+            n_injected >= config.silent_corruptions,
+            f"only {n_injected}/{config.silent_corruptions} silent "
+            "corruptions landed inside the run",
         )
-    if counters.get("tripped", 0) < n_injected:
-        failed.append(
-            f"sdc_detection: {n_injected} corruptions landed but only "
-            f"{counters.get('tripped', 0)} attestation trips"
+    else:
+        audit.record(
+            "sdc_false_positive",
+            not tripped,
+            "clean run tripped the checksum",
         )
-    if not chaos_enabled and counters.get("tripped", 0):
-        failed.append("sdc_false_positive: clean run tripped the checksum")
-    return {
-        "ok": not failed,
-        "failed": failed,
-        "digest": _serve_digest(result.report),
-        "applied": applied,
-        "detail": {
-            "submitted": result.report.submitted,
-            "completed": len(result.report.completed),
-            "shed": result.report.shed_by_reason(),
-            "retries": result.report.retries_scheduled,
-            "attestation": counters,
-        },
-    }
+    audit.record(
+        "sdc_detection",
+        tripped >= n_injected,
+        f"{n_injected} corruptions landed but only {tripped} attestation trips",
+    )
+    return _serving_cell(
+        result,
+        replay,
+        audit,
+        retries=result.report.retries_scheduled,
+        attestation=counters,
+    )
 
 
 _SCENARIOS = {

@@ -5,7 +5,10 @@ Usage (also via ``python -m repro``):
     python -m repro table 3            # Table I-V
     python -m repro fig 6              # Fig 3-6
     python -m repro all                # every table and figure
+    python -m repro report             # paper-vs-measured summary
+    python -m repro export --dir artifacts         # every table/figure as CSV
     python -m repro models             # zoo with MAC/parameter stats
+    python -m repro layers resnet50    # per-layer cost table
     python -m repro compare resnet50 --budget 30
     python -m repro train-plan vgg16 --samples 50000
     python -m repro link-budget --rows 16 --cols 16 --power-mw 1.0
@@ -19,10 +22,15 @@ Usage (also via ``python -m repro``):
     python -m repro checkpoint ckpt/step_0000000010.ckpt
     python -m repro trace --out run.trace.json    # Perfetto-loadable trace
     python -m repro trace --smoke                 # CI observability gate
+    python -m repro serve                         # fault-aware serving run
+    python -m repro serve --smoke                 # CI serving gate
     python -m repro shard                         # pipeline-sharded serving
     python -m repro shard --smoke                 # CI sharding gate
+    python -m repro fleet                         # closed-loop fleet run
+    python -m repro fleet --smoke                 # CI control-plane gate
     python -m repro integrity                     # ABFT-attested serving run
     python -m repro integrity --smoke             # CI SDC-defense gate
+    python -m repro soak --gate --smoke           # CI chaos soak gate
     python -m repro -v train --steps 20           # INFO-level run log
     python -m repro train --metrics-out run.prom  # Prometheus dump
 
@@ -55,6 +63,125 @@ def _metrics_session(path: str | None):
         yield t
     out = t.metrics.write_prometheus(path)
     print(f"metrics written to {out}")
+
+
+def _report_checks(checks) -> int:
+    """Print a gate's ``(label, passed)`` list; exit code 0 iff all passed."""
+    ok = True
+    for label, passed in checks:
+        print(f"  {'OK  ' if passed else 'FAIL'} {label}")
+        ok = ok and passed
+    return 0 if ok else 1
+
+
+def _artifact_paths(args: argparse.Namespace, default_out: str | None):
+    """Resolve ``--out``/``--metrics-out``/``--events-out``.
+
+    Without ``--out`` the trace goes to ``default_out`` — in a fresh
+    temp dir under ``--smoke``, else in the working directory — and
+    nowhere when ``default_out`` is None.  The metrics and events files
+    default to siblings of the trace.  Returns (trace, metrics, events)
+    paths, all None when there is no trace.
+    """
+    import tempfile
+    from pathlib import Path
+
+    if args.out is None and default_out is not None:
+        base = Path(
+            tempfile.mkdtemp(prefix=f"repro-{args.command}-")
+            if args.smoke
+            else "."
+        )
+        args.out = str(base / default_out)
+    if not args.out:
+        return None, None, None
+    out_path = Path(args.out)
+    stem = out_path.with_suffix("")
+    metrics_path = Path(args.metrics_out or stem.with_suffix(".metrics.prom"))
+    events_path = Path(args.events_out or stem.with_suffix(".events.jsonl"))
+    return out_path, metrics_path, events_path
+
+
+def _blob_data(n_samples: int, dims, seed: int):
+    """Seeded classification blobs sized to an MLP, scaled into [-1, 1]."""
+    import numpy as np
+
+    from repro.nn.datasets import Dataset, make_blobs, standardize
+
+    raw = make_blobs(
+        n_samples=n_samples,
+        n_features=dims[0],
+        n_classes=dims[-1],
+        seed=seed + 2,
+    )
+    return Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
+
+
+def _nan_once(at_step: int):
+    """A training step hook that forces one NaN loss at ``at_step``."""
+    fired = False
+
+    def hook(step: int) -> float | None:
+        nonlocal fired
+        if step == at_step and not fired:
+            fired = True
+            return float("nan")
+        return None
+
+    return hook
+
+
+def _campaign_verdict(report, export_dir: str | None) -> int:
+    """Print (and optionally export) a fault campaign; exit code 1 when
+    its batched and per-sample paths disagreed."""
+    print(report.render())
+    if export_dir:
+        from repro.eval.export import export_fault_campaign
+
+        for path in export_fault_campaign(report, export_dir):
+            print(path)
+    if not report.parity_ok:
+        print("PARITY VIOLATION between forward_batch and per-sample forward")
+        return 1
+    return 0
+
+
+def _export_telemetry(t, out_path, metrics_path, events_path):
+    """Write a telemetry session's trace, metrics and events, then read
+    them back: returns (Prometheus samples, Chrome-trace problems)."""
+    import json
+
+    from repro import telemetry
+
+    t.tracer.write_chrome_trace(out_path)
+    t.metrics.write_prometheus(metrics_path)
+    t.events.write_jsonl(events_path)
+    samples = telemetry.parse_prometheus_text(
+        metrics_path.read_text(encoding="utf-8")
+    )
+    problems = telemetry.validate_chrome_trace(
+        json.loads(out_path.read_text(encoding="utf-8"))
+    )
+    return samples, problems
+
+
+def _replace_given(config, **fields):
+    """``config`` with each field that was given (not None) replaced."""
+    import dataclasses
+
+    given = {key: value for key, value in fields.items() if value is not None}
+    return dataclasses.replace(config, **given)
+
+
+def _write_json(path: str, doc: dict, label: str) -> None:
+    """Write ``doc`` as indented JSON to ``path`` and print where."""
+    import json
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    print(f"{label}: {out}")
 
 
 def _comparisons_text(comparisons) -> str:
@@ -348,16 +475,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         report = run_campaign(
             config, checkpoint_dir=args.checkpoint_dir, max_cells=args.max_cells
         )
-    print(report.render())
-    if args.export:
-        from repro.eval.export import export_fault_campaign
-
-        for path in export_fault_campaign(report, args.export):
-            print(path)
-    if not report.parity_ok:
-        print("PARITY VIOLATION between forward_batch and per-sample forward")
-        return 1
-    return 0
+    return _campaign_verdict(report, args.export)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -371,48 +489,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     """
     import tempfile
 
-    from repro.arch import TridentAccelerator, TridentConfig
-    from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.nn.datasets import Dataset, make_blobs, standardize
     from repro.runtime import ResilienceConfig, ResilientTrainer
+    from repro.serving.workload import build_chip, mlp_weights
     from repro.training.insitu import InSituTrainer
 
-    import numpy as np
-
     dims = list(args.dims)
-    rows = max(max(dims), 2)
-    arch = TridentConfig(
-        bank_rows=rows, bank_cols=rows, spare_rows=2, convergence_floor=0.0
-    )
-    acc = TridentAccelerator(
-        config=arch, seed=args.seed, program_verify=ProgramVerifyConfig()
-    )
-    acc.map_mlp(dims)
-    rng = np.random.default_rng(args.seed + 1)
-    acc.set_weights(
-        [
-            rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-            for i in range(len(dims) - 1)
-        ]
-    )
-    raw = make_blobs(
-        n_samples=args.samples,
-        n_features=dims[0],
-        n_classes=dims[-1],
-        seed=args.seed + 2,
-    )
-    data = Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
-
+    acc = build_chip(dims, args.seed, spare_rows=2)
+    acc.set_weights(mlp_weights(dims, args.seed))
+    data = _blob_data(args.samples, dims, args.seed)
     hook = None
     if args.inject_nan_step is not None:
-        fired = {"done": False}
-
-        def hook(step: int) -> float | None:
-            if step == args.inject_nan_step and not fired["done"]:
-                fired["done"] = True
-                return float("nan")
-            return None
-
+        hook = _nan_once(args.inject_nan_step)
     directory = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-train-")
     trainer = ResilientTrainer(
         InSituTrainer(acc, lr=args.lr),
@@ -453,91 +540,41 @@ def cmd_trace(args: argparse.Namespace) -> int:
     check exits non-zero — with ``--smoke`` this is the CI observability
     gate.
     """
-    import json
     import tempfile
-    from pathlib import Path
-
-    import numpy as np
 
     from repro import telemetry
-    from repro.arch import TridentAccelerator, TridentConfig
     from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
     from repro.dataflow.schedule_sim import simulate_model
-    from repro.devices.program_verify import ProgramVerifyConfig
     from repro.faults import FaultManager, RepairConfig
     from repro.nn import build_model
-    from repro.nn.datasets import Dataset, make_blobs, standardize
     from repro.runtime import ResilienceConfig, ResilientTrainer
+    from repro.serving.workload import build_chip, mlp_weights
     from repro.training.insitu import InSituTrainer
 
-    if args.out is None:
-        base = Path(
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if args.smoke
-            else "."
-        )
-        args.out = str(base / "repro_run.trace.json")
-    out_path = Path(args.out)
-    metrics_path = Path(
-        args.metrics_out or out_path.with_suffix("").with_suffix(".metrics.prom")
+    out_path, metrics_path, events_path = _artifact_paths(
+        args, "repro_run.trace.json"
     )
-    events_path = Path(
-        args.events_out or out_path.with_suffix("").with_suffix(".events.jsonl")
-    )
-
     dims = list(args.dims)
     steps = 6 if args.smoke else args.steps
-    rows = max(max(dims), 2)
     seed = args.seed
 
     with telemetry.session() as t:
         with t.tracer.span("trace_workload"):
             with t.tracer.span("deploy_and_repair"):
-                arch = TridentConfig(
-                    bank_rows=rows,
-                    bank_cols=rows,
-                    spare_rows=4,
-                    convergence_floor=0.0,
-                )
-                acc = TridentAccelerator(
-                    config=arch, seed=seed,
-                    program_verify=ProgramVerifyConfig(),
-                )
-                acc.map_mlp(dims)
-                rng = np.random.default_rng(seed + 1)
-                weights = [
-                    rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
-                    for i in range(len(dims) - 1)
-                ]
+                acc = build_chip(dims, seed)
                 acc.inject_stuck_faults(0.08, stuck_level=254)
                 manager = FaultManager(acc, config=RepairConfig(policy="remap"))
-                manager.deploy([w.copy() for w in weights])
+                manager.deploy(mlp_weights(dims, seed))
 
             with t.tracer.span("training"):
-                raw = make_blobs(
-                    n_samples=60,
-                    n_features=dims[0],
-                    n_classes=dims[-1],
-                    seed=seed + 2,
-                )
-                data = Dataset(
-                    x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y
-                )
-                fired = {"done": False}
-
-                def hook(step: int) -> float | None:
-                    if step == 2 and not fired["done"]:
-                        fired["done"] = True
-                        return float("nan")
-                    return None
-
+                data = _blob_data(60, dims, seed)
                 with tempfile.TemporaryDirectory() as ckpt_dir:
                     trainer = ResilientTrainer(
                         InSituTrainer(acc, lr=0.05),
                         ckpt_dir,
                         config=ResilienceConfig(checkpoint_every=3),
                         manager=manager,
-                        step_hook=hook,
+                        step_hook=_nan_once(2),
                     )
                     run_report = trainer.run(
                         data, steps=steps, batch_size=8, seed=seed + 3
@@ -552,14 +589,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 simulate_model(net, keep_events=False)
 
         coverage = t.tracer.coverage()
-        t.tracer.write_chrome_trace(out_path)
-        t.metrics.write_prometheus(metrics_path)
-        t.events.write_jsonl(events_path)
-        samples = telemetry.parse_prometheus_text(
-            metrics_path.read_text(encoding="utf-8")
-        )
-        trace_problems = telemetry.validate_chrome_trace(
-            json.loads(out_path.read_text(encoding="utf-8"))
+        samples, trace_problems = _export_telemetry(
+            t, out_path, metrics_path, events_path
         )
         n_spans = len(t.tracer.records)
         n_events = len(t.events.records)
@@ -598,15 +629,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{int(rollbacks)} rollback(s), {int(repairs)} repair(s), "
         f"{int(samples.get('repro_tiles_unrepaired_total', 0))} tile(s) degraded"
     )
-    ok = True
-    for label, passed in checks:
-        print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-        ok = ok and passed
+    code = _report_checks(checks)
     for problem in trace_problems[:5]:
         print(f"    trace problem: {problem}")
     for key in missing:
         print(f"    missing metric: {key}")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -619,14 +647,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     With ``--smoke``, replays the run (telemetry disabled) and audits
     the robustness invariants as a CI gate.
     """
-    import json
-    import tempfile
-    from pathlib import Path
+    import dataclasses
 
     from repro import telemetry
     from repro.serving import (
         Phase,
-        ServerConfig,
         WorkloadConfig,
         run_serve_workload,
         shed_rate_by_priority,
@@ -636,7 +661,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     requests = args.requests
     if requests is None:
         requests = 400 if args.smoke else 800
-    config = WorkloadConfig(
+    base = WorkloadConfig()
+    config = dataclasses.replace(
+        base,
         dims=tuple(args.dims),
         n_workers=args.workers,
         seed=args.seed,
@@ -645,46 +672,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
             Phase("burst", requests, args.burst),
             Phase("drain", requests, 0.35),
         ),
-        server=ServerConfig(
+        server=dataclasses.replace(
+            base.server,
             max_queue_depth=args.queue_depth,
             max_batch=args.batch,
             slo_latency_s=args.slo_us * 1e-6,
-            max_retries=2,
-            retry_backoff_s=5e-7,
-            retry_jitter_s=1e-7,
-            breaker_failure_threshold=3,
-            breaker_cooldown_s=5e-6,
             seed=args.seed,
             executor_threads=args.threads,
         ),
     )
-
-    out_path = metrics_path = events_path = None
-    if args.smoke and args.out is None:
-        args.out = str(
-            Path(tempfile.mkdtemp(prefix="repro-serve-")) / "serve.trace.json"
-        )
-    if args.out:
-        out_path = Path(args.out)
-        metrics_path = Path(
-            args.metrics_out
-            or out_path.with_suffix("").with_suffix(".metrics.prom")
-        )
-        events_path = Path(
-            args.events_out or out_path.with_suffix("").with_suffix(".events.jsonl")
-        )
+    out_path, metrics_path, events_path = _artifact_paths(
+        args, "serve.trace.json" if args.smoke else None
+    )
 
     with telemetry.session() as t:
-        report, _server = run_serve_workload(config)
+        report = run_serve_workload(config).report
         if out_path:
-            t.tracer.write_chrome_trace(out_path)
-            t.metrics.write_prometheus(metrics_path)
-            t.events.write_jsonl(events_path)
-            samples = telemetry.parse_prometheus_text(
-                metrics_path.read_text(encoding="utf-8")
-            )
-            trace_problems = telemetry.validate_chrome_trace(
-                json.loads(out_path.read_text(encoding="utf-8"))
+            samples, trace_problems = _export_telemetry(
+                t, out_path, metrics_path, events_path
             )
 
     print(report.render())
@@ -704,7 +709,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # Replay with telemetry disabled: same decisions proves both seeded
     # determinism and that observability never perturbs the simulation.
-    replay, _ = run_serve_workload(config)
+    replay = run_serve_workload(config).report
     checks = smoke_checks(report, replay)
     if out_path:
         expected_samples = (
@@ -718,11 +723,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         missing = [key for key in expected_samples if key not in samples]
         checks.append(("chrome trace schema valid", not trace_problems))
         checks.append(("serving + power metrics exposed", not missing))
-    ok = True
-    for label, passed in checks:
-        print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-        ok = ok and passed
-    return 0 if ok else 1
+    return _report_checks(checks)
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -737,8 +738,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
     serialized makespans, stage-fault drain/repair, conservation, and
     bit-identical replay — as a CI gate.
     """
-    import dataclasses
-
     from repro.serving import (
         ShardWorkloadConfig,
         makespan_s,
@@ -750,14 +749,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
         single_shard_mapping_error,
     )
 
-    config = ShardWorkloadConfig()
-    overrides = {}
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _replace_given(
+        ShardWorkloadConfig(), n_requests=args.requests, seed=args.seed
+    )
 
     if args.smoke:
         checks, details = shard_smoke_checks(config)
@@ -773,24 +767,18 @@ def cmd_shard(args: argparse.Namespace) -> int:
             f"serialized {details['serialized_makespan_s'] * 1e6:.2f} us "
             f"(speedup {details['overlap_speedup']:.2f}x)"
         )
-        ok = True
-        for label, passed in checks:
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
-        return 0 if ok else 1
+        return _report_checks(checks)
 
     error = single_shard_mapping_error(config)
     if error is not None:
         print(f"single shard refuses the model: {error}")
     print(plan_workload(config).render())
-    report, _, worker = run_shard_workload(
-        config, overlap=not args.serialized
-    )
-    print(report.render())
+    result = run_shard_workload(config, overlap=not args.serialized)
+    print(result.report.render())
     mode = "serialized" if args.serialized else "overlapped"
     print(
-        f"  {mode} makespan: {makespan_s(report) * 1e6:.2f} us over "
-        f"{len(worker.stages)} stage(s)"
+        f"  {mode} makespan: {makespan_s(result.report) * 1e6:.2f} us over "
+        f"{len(result.workers[0].stages)} stage(s)"
     )
     return 0
 
@@ -842,30 +830,19 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print("repro resume: --checkpoint-dir is required (or use --smoke)")
         return 2
     report = resume_campaign(args.checkpoint_dir)
-    print(report.render())
-    if args.export:
-        from repro.eval.export import export_fault_campaign
-
-        for path in export_fault_campaign(report, args.export):
-            print(path)
-    if not report.parity_ok:
-        print("PARITY VIOLATION between forward_batch and per-sample forward")
-        return 1
-    return 0
+    return _campaign_verdict(report, args.export)
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Soak the stack under deterministic chaos; emit a flake matrix.
 
-    Sweeps the serve/shard/resume/train/fleet scenarios across a seed range,
+    Sweeps the serve/shard/resume/train/fleet/sdc scenarios across a seed range,
     each cell repeated and audited (conservation, structured sheds,
     atomic batches, finite outputs, charged repairs, bit-identical
     replay).  ``--gate`` makes any failing or flaky cell — or a
     self-audit that cannot detect a deliberately unhandled fault — exit
     non-zero, which is how CI consumes it.
     """
-    import json
-
     from repro.chaos import (
         SoakConfig,
         render_matrix,
@@ -874,13 +851,13 @@ def cmd_soak(args: argparse.Namespace) -> int:
         validate_matrix,
     )
 
-    scenarios = tuple(args.scenarios) if args.scenarios else None
-    seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
-    overrides = {"seeds": seeds, "repeats": args.repeats,
-                 "chaos": not args.no_chaos}
-    if scenarios is not None:
-        overrides["scenarios"] = scenarios
-    config = SoakConfig(**overrides)
+    config = _replace_given(
+        SoakConfig(),
+        scenarios=tuple(args.scenarios) if args.scenarios else None,
+        seeds=tuple(range(args.seed_base, args.seed_base + args.seeds)),
+        repeats=args.repeats,
+        chaos=not args.no_chaos,
+    )
 
     def progress(cell):
         verdict = "pass" if cell["ok"] else "FAIL"
@@ -901,12 +878,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  FAIL  matrix schema: {problem}")
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        print(f"flake matrix: {out}")
+        _write_json(args.out, doc, "flake matrix")
     print(render_matrix(doc))
     gate_ok = (
         not doc["flaky"]
@@ -929,30 +901,20 @@ def cmd_integrity(args: argparse.Namespace) -> int:
     ``silent_corrupt`` chaos detected and attested (none settles
     unverified), and the escalation → quarantine → scrub → restore arc.
     """
-    import dataclasses
-
     from repro.integrity import (
         IntegrityWorkloadConfig,
         run_integrity_workload,
         smoke_checks,
     )
 
-    config = IntegrityWorkloadConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.requests is not None:
-        overrides["n_requests"] = args.requests
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _replace_given(
+        IntegrityWorkloadConfig(), seed=args.seed, n_requests=args.requests
+    )
 
     if args.smoke:
-        ok = True
-        for label, passed in smoke_checks(config):
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
-        print(f"integrity gate: {'OK' if ok else 'FAIL'}")
-        return 0 if ok else 1
+        code = _report_checks(smoke_checks(config))
+        print(f"integrity gate: {'FAIL' if code else 'OK'}")
+        return code
 
     result = run_integrity_workload(config)
     print(result.report.render())
@@ -978,8 +940,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     within SLO, baseline demonstrably missing it, scale-up *and*
     scale-down observed, exactly one degraded episode, conservation.
     """
-    import json
-
     from repro.fleet import (
         SCENARIOS,
         fleet_smoke_checks,
@@ -990,20 +950,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     scenario = SCENARIOS[args.scenario](args.seed)
     plan = None if args.no_chaos else smoke_chaos_plan(scenario)
 
+    result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
     if args.smoke:
-        result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
         replay = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
         baseline = run_fleet_workload(
             scenario, controlled=False, chaos_plan=plan
         )
         checks = fleet_smoke_checks(result, replay, baseline)
-        ok = True
-        for label, passed in checks:
-            print(f"  {'OK  ' if passed else 'FAIL'} {label}")
-            ok = ok and passed
+        code = _report_checks(checks)
         if args.out:
-            from pathlib import Path
-
             doc = {
                 "scenario": result.as_dict(),
                 "baseline": baseline.as_dict(),
@@ -1011,14 +966,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                     {"name": label, "ok": passed} for label, passed in checks
                 ],
             }
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-            print(f"fleet report: {out}")
-        print(f"fleet smoke: {'OK' if ok else 'FAIL'}")
-        return 0 if ok else 1
+            _write_json(args.out, doc, "fleet report")
+        print(f"fleet smoke: {'FAIL' if code else 'OK'}")
+        return code
 
-    result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
     doc = result.as_dict()
     controller = doc["controller"]
     serve = doc["serve"]
@@ -1045,12 +996,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
     )
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        print(f"fleet report: {out}")
+        _write_json(args.out, doc, "fleet report")
     return 0 if serve["conservation_ok"] else 1
 
 

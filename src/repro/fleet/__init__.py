@@ -29,7 +29,6 @@ from repro.fleet.workload import (
     fleet_smoke_checks,
     large_scenario,
     peak_fleet_size,
-    run_fleet_smoke,
     run_fleet_workload,
     smoke_chaos_plan,
     smoke_scenario,
@@ -54,7 +53,6 @@ __all__ = [
     "fleet_smoke_checks",
     "large_scenario",
     "peak_fleet_size",
-    "run_fleet_smoke",
     "run_fleet_workload",
     "smoke_chaos_plan",
     "smoke_scenario",

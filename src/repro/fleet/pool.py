@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.worker import AcceleratorWorker
-from repro.serving.workload import build_worker
+from repro.serving.workload import build_chip, build_worker, remap_manager
 
 #: Lifecycle states a pooled worker moves through.
 WORKER_STATES = ("warming", "active", "draining", "decommissioned")
@@ -87,28 +87,11 @@ class WorkerPool:
         return self._clone(worker_id)
 
     def _clone(self, worker_id: int) -> AcceleratorWorker:
-        from repro.arch import TridentAccelerator, TridentConfig
-        from repro.devices.program_verify import ProgramVerifyConfig
-        from repro.faults import FaultManager, RepairConfig
-
-        rows = max(max(self.dims), 2)
-        acc = TridentAccelerator(
-            config=TridentConfig(
-                bank_rows=rows,
-                bank_cols=rows,
-                spare_rows=4,
-                convergence_floor=0.0,
-            ),
-            seed=self.seed,
-            program_verify=ProgramVerifyConfig(),
-        )
-        acc.map_mlp(list(self.dims))
+        # Loads the template's state in place of drawing and deploying
+        # weights: commissioning must stay cheap.
+        acc = build_chip(self.dims, self.seed)
         acc.load_state_dict(self._template_state)
-        n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-        manager = FaultManager(
-            acc, config=RepairConfig(policy="remap", max_migrations=n_tiles)
-        )
-        return AcceleratorWorker(worker_id, acc, manager=manager)
+        return AcceleratorWorker(worker_id, acc, manager=remap_manager(acc))
 
     def bootstrap(self, n_workers: int) -> list[AcceleratorWorker]:
         """The initial fleet (already warm); call before the server exists."""

@@ -19,8 +19,6 @@ passes only if at least 99% of burst-window arrivals complete on time.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 
 from repro.errors import ServingError
@@ -28,6 +26,7 @@ from repro.fleet.controller import ControllerConfig, FleetController, LADDER
 from repro.fleet.pool import WorkerPool
 from repro.fleet.trace import Burst, TraceConfig, synthesize_trace
 from repro.serving.server import ServeReport, ServerConfig, TridentServer
+from repro.serving.workload import serve_arrivals
 from repro.telemetry.rollup import ServingRollup
 
 #: Where the smoke scenario's breaker storm lands, as a fraction of the
@@ -58,18 +57,10 @@ class FleetScenario:
 
 
 def _server_config(seed: int, max_queue_depth: int = 4096) -> ServerConfig:
+    # The cooldown is long enough (3 controller ticks) that a breaker
+    # storm opens a real capacity hole the degraded ladder has to ride out.
     return ServerConfig(
-        max_queue_depth=max_queue_depth,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        # Long enough (3 controller ticks) that a breaker storm opens a
-        # real capacity hole the degraded ladder has to ride out.
-        breaker_cooldown_s=3e-5,
-        seed=seed,
+        max_queue_depth=max_queue_depth, breaker_cooldown_s=3e-5, seed=seed
     )
 
 
@@ -78,13 +69,11 @@ def smoke_scenario(seed: int = 11) -> FleetScenario:
     duration = 1e-3
     return FleetScenario(
         name="smoke",
-        dims=(12, 16, 4),
         initial_workers=2,
         seed=seed,
         trace=TraceConfig(
             duration_s=duration,
             base_rate_x=1.5,
-            diurnal_amplitude=0.8,
             bursts=(Burst(0.38 * duration, 0.08 * duration, 1.7),),
             seed=seed,
         ),
@@ -92,7 +81,6 @@ def smoke_scenario(seed: int = 11) -> FleetScenario:
         controller=ControllerConfig(
             interval_s=5e-6,
             window_s=1.5e-5,
-            slo_latency_s=1e-5,
             min_workers=2,
             max_workers=8,
             warmup_s=2e-6,
@@ -106,13 +94,11 @@ def standard_scenario(seed: int = 11) -> FleetScenario:
     duration = 6e-4
     return FleetScenario(
         name="standard",
-        dims=(12, 16, 4),
         initial_workers=4,
         seed=seed,
         trace=TraceConfig(
             duration_s=duration,
             base_rate_x=6.0,
-            diurnal_amplitude=0.8,
             bursts=(Burst(0.38 * duration, 0.08 * duration, 2.0),),
             seed=seed,
         ),
@@ -120,7 +106,6 @@ def standard_scenario(seed: int = 11) -> FleetScenario:
         controller=ControllerConfig(
             interval_s=6e-6,
             window_s=1.8e-5,
-            slo_latency_s=1e-5,
             min_workers=4,
             max_workers=32,
             warmup_s=3e-6,
@@ -134,13 +119,11 @@ def large_scenario(seed: int = 11) -> FleetScenario:
     duration = 2.5e-4
     return FleetScenario(
         name="large",
-        dims=(12, 16, 4),
         initial_workers=48,
         seed=seed,
         trace=TraceConfig(
             duration_s=duration,
             base_rate_x=64.0,
-            diurnal_amplitude=0.8,
             bursts=(Burst(0.38 * duration, 0.08 * duration, 1.5),),
             seed=seed,
         ),
@@ -148,7 +131,6 @@ def large_scenario(seed: int = 11) -> FleetScenario:
         controller=ControllerConfig(
             interval_s=5e-6,
             window_s=1.5e-5,
-            slo_latency_s=1e-5,
             min_workers=48,
             max_workers=256,
             warmup_s=2.5e-6,
@@ -228,7 +210,8 @@ def run_fleet_workload(
 
     ``controlled=False`` runs the identical trace and chaos on the
     static initial fleet with no controller — the baseline the smoke
-    gate uses to show the control plane earns its keep.
+    gate uses to show the control plane earns its keep.  ``chaos_plan``
+    is passed to :func:`~repro.serving.workload.serve_arrivals`.
     """
     pool = WorkerPool(scenario.dims, scenario.seed)
     workers = pool.bootstrap(scenario.initial_workers)
@@ -249,23 +232,13 @@ def run_fleet_workload(
         controller = FleetController(server, pool, rollup, scenario.controller)
         controller.install(start_s=scenario.controller.interval_s)
 
-    if chaos_plan is not None:
-        from repro.chaos.session import session as chaos_scope
-
-        with chaos_scope(chaos_plan) as chaos_session:
-            server.install_chaos(chaos_session)
-            report = server.run(arrivals)
-        applied = list(chaos_session.applied)
-    else:
-        report = server.run(arrivals)
-        applied = []
-
+    run = serve_arrivals(server, arrivals, chaos_plan)
     return FleetRunResult(
         scenario=scenario,
-        report=report,
+        report=run.report,
         pool=pool,
         controller=controller,
-        chaos_applied=applied,
+        chaos_applied=run.chaos_applied,
         unit_rate_hz=unit_rate,
         n_requests=len(arrivals),
     )
@@ -300,18 +273,8 @@ def window_p99_latency_s(
 
 
 def fleet_digest(result: FleetRunResult) -> str:
-    """Replay digest: decision log + every completed output, bit-exact."""
-    h = hashlib.sha256()
-    h.update(
-        json.dumps(
-            result.report.decisions, sort_keys=True, default=repr
-        ).encode()
-    )
-    for completion in sorted(
-        result.report.completed, key=lambda c: c.request.request_id
-    ):
-        h.update(completion.output.tobytes())
-    return h.hexdigest()
+    """Replay digest of the run (:meth:`~repro.serving.server.ServeReport.digest`)."""
+    return result.report.digest()
 
 
 def peak_fleet_size(result: FleetRunResult) -> int:
@@ -377,14 +340,3 @@ def fleet_smoke_checks(
         ("replay is bit-identical",
          fleet_digest(result) == fleet_digest(replay)),
     ]
-
-
-def run_fleet_smoke(seed: int = 11):
-    """Controlled run + fresh replay + static baseline, then the checks."""
-    scenario = smoke_scenario(seed)
-    plan = smoke_chaos_plan(scenario)
-    result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-    replay = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
-    baseline = run_fleet_workload(scenario, controlled=False, chaos_plan=plan)
-    checks = fleet_smoke_checks(result, replay, baseline)
-    return checks, result, baseline

@@ -34,6 +34,7 @@ so module-level imports here would be circular.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -79,49 +80,6 @@ class IntegrityWorkloadConfig:
             raise IntegrityError("upset_delta must be in (0, 2]")
 
 
-@dataclasses.dataclass
-class IntegrityRunResult:
-    """Everything one attestation workload run produced."""
-
-    report: object
-    server: object
-    workers: list
-    rollup: object
-    session: object
-    pre_accounting: dict
-    #: Arrival span of the run (chaos windows are sized from this).
-    window_s: float = 0.0
-
-    def counters_total(self) -> dict:
-        """Attestation counters summed across workers."""
-        total: dict[str, int] = {}
-        for worker in self.workers:
-            checker = getattr(worker, "integrity", None)
-            if checker is None:
-                continue
-            for key, value in checker.counters.as_dict().items():
-                total[key] = total.get(key, 0) + value
-        return total
-
-
-def _server_config(seed: int):
-    from repro.serving.server import ServerConfig
-
-    return ServerConfig(
-        max_queue_depth=64,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        # Short quarantine: the escalation scenario needs the half-open
-        # probe (where the scrub runs) to land while traffic remains.
-        breaker_cooldown_s=2e-6,
-        seed=int(seed),
-    )
-
-
 def build_integrity_worker(
     worker_id: int,
     dims: tuple[int, ...],
@@ -130,7 +88,7 @@ def build_integrity_worker(
     with_integrity: bool = True,
     integrity_config: IntegrityConfig | None = None,
 ):
-    """The PR 5 serving worker plus an attached ABFT checker.
+    """The serving worker plus an attached ABFT checker.
 
     Reuses :func:`repro.serving.workload.build_worker` unchanged —
     checksum rows are allocated on spare PEs *after* ``deploy``
@@ -223,23 +181,20 @@ def run_integrity_workload(
     with_integrity: bool = True,
     chaos_plan=None,
     upset_worker: int | None = None,
-) -> IntegrityRunResult:
+):
     """Build the checked fleet, serve the workload, return run artifacts.
 
-    ``chaos_plan`` (see :func:`make_sdc_plan`) runs the serve under a
-    chaos session; pass a *callable* to have it invoked with the
-    computed arrival span (``plan = chaos_plan(window_s)``) — callers
-    like the soak harness don't know the span before the run.
+    Returns a :class:`~repro.serving.workload.ServeRunResult`.
+    ``chaos_plan`` (see :func:`make_sdc_plan`) is passed to
+    :func:`~repro.serving.workload.serve_arrivals`.
     ``upset_worker`` schedules a persistent realized-level drift on
     that worker a sixth of the way into the arrivals.
     A :class:`~repro.telemetry.rollup.ServingRollup` sized to cover the
     whole (virtual-time) run is always attached so the SDC-rate signal
     is observable afterwards.
     """
-    from repro.chaos.audit import capture_accounting
-    from repro.chaos.session import session as chaos_scope
-    from repro.serving.server import TridentServer
-    from repro.serving.workload import sustainable_rate_hz
+    from repro.serving.server import ServerConfig, TridentServer
+    from repro.serving.workload import serve_arrivals, sustainable_rate_hz
     from repro.telemetry.rollup import ServingRollup
 
     config = config or IntegrityWorkloadConfig()
@@ -253,15 +208,14 @@ def run_integrity_workload(
         )
         for i in range(config.n_workers)
     ]
-    server_config = _server_config(config.seed)
+    # Short quarantine: the escalation scenario needs the half-open
+    # probe (where the scrub runs) to land while traffic remains.
+    server_config = ServerConfig(breaker_cooldown_s=2e-6, seed=int(config.seed))
     rollup = ServingRollup(window_s=10.0)  # virtual runs last ~1e-4 s
     server = TridentServer(workers, config=server_config, rollup=rollup)
     rate = sustainable_rate_hz(workers, server_config.max_batch)
     rng = np.random.default_rng(config.seed)
     arrivals = synthesize_integrity_arrivals(config, rate, rng)
-    window_s = arrivals[-1].arrival_s
-    if callable(chaos_plan):
-        chaos_plan = chaos_plan(window_s)
 
     if upset_worker is not None:
         target = int(upset_worker)
@@ -272,51 +226,15 @@ def run_integrity_workload(
 
         # Early enough that escalations, the breaker trip, the cooldown,
         # and the scrubbing half-open probe all fit inside the arrivals.
-        server.schedule_action(0.15 * window_s, "silent_upset", inject)
-
-    pre = capture_accounting(workers)
-    if chaos_plan is None:
-        report = server.run(arrivals)
-        session = None
-    else:
-        with chaos_scope(chaos_plan) as session:
-            server.install_chaos(session)
-            report = server.run(arrivals)
-    return IntegrityRunResult(
-        report=report,
-        server=server,
-        workers=workers,
-        rollup=rollup,
-        session=session,
-        pre_accounting=pre,
-        window_s=window_s,
-    )
+        server.schedule_action(
+            0.15 * arrivals[-1].arrival_s, "silent_upset", inject
+        )
+    return serve_arrivals(server, arrivals, chaos_plan)
 
 
 # ----------------------------------------------------------------------
 # Smoke gate
 # ----------------------------------------------------------------------
-def _run_digest(report) -> tuple:
-    """Hashable (decisions, output bytes) fingerprint of one run."""
-    outputs = tuple(
-        (c.request.request_id, np.asarray(c.output).tobytes())
-        for c in report.completed
-    )
-    return (tuple(repr(d) for d in report.decisions), outputs)
-
-
-def _audit(result: IntegrityRunResult, replay=None):
-    from repro.chaos.audit import audit_serve_run
-
-    return audit_serve_run(
-        result.report,
-        workers=result.workers,
-        pre_accounting=result.pre_accounting,
-        replay=replay,
-        session=result.session,
-    )
-
-
 def smoke_checks(
     config: IntegrityWorkloadConfig | None = None,
 ) -> list[tuple[str, bool]]:
@@ -325,13 +243,15 @@ def smoke_checks(
     checks: list[tuple[str, bool]] = []
 
     # 1. Clean seed matrix: every batch attested, zero trips, audit holds.
-    clean_runs = []
-    for offset in range(3):
-        cfg = dataclasses.replace(config, seed=config.seed + offset)
-        clean_runs.append((cfg, run_integrity_workload(cfg)))
+    clean_runs = [
+        run_integrity_workload(
+            dataclasses.replace(config, seed=config.seed + offset)
+        )
+        for offset in range(3)
+    ]
     attested_all = all(
         worker.integrity.counters.checks == worker.batches_executed > 0
-        for _, run in clean_runs
+        for run in clean_runs
         for worker in run.workers
     )
     checks.append(("every clean batch attested (3-seed matrix)", attested_all))
@@ -340,12 +260,12 @@ def smoke_checks(
             "zero false trips across clean seed matrix",
             all(
                 run.counters_total().get("tripped", 0) == 0
-                for _, run in clean_runs
+                for run in clean_runs
             ),
         )
     )
     checks.append(
-        ("clean-run audits pass", all(_audit(run).ok for _, run in clean_runs))
+        ("clean-run audits pass", all(run.audit().ok for run in clean_runs))
     )
 
     # 2. Parity: checks enabled vs disabled is bit-identical.
@@ -353,8 +273,7 @@ def smoke_checks(
     checks.append(
         (
             "attestation never perturbs outputs (parity with unchecked run)",
-            _run_digest(clean_runs[0][1].report)
-            == _run_digest(baseline.report),
+            clean_runs[0].report.digest() == baseline.report.digest(),
         )
     )
 
@@ -363,24 +282,17 @@ def smoke_checks(
     checks.append(
         (
             "bit-identical replay with checks enabled",
-            _run_digest(clean_runs[0][1].report) == _run_digest(replay.report),
+            clean_runs[0].report.digest() == replay.report.digest(),
         )
     )
 
-    # 4. Injected SDC: every silent_corrupt trips and is attested.  The
-    # arrival span is seed-deterministic, so the clean run's span sizes
-    # the chaos window for both the run and its replay.
-    span = clean_runs[0][1].window_s
-    chaos_run = run_integrity_workload(
-        config, chaos_plan=make_sdc_plan(config, span)
+    # 4. Injected SDC: every silent_corrupt trips and is attested.
+    sdc_plan = functools.partial(make_sdc_plan, config)
+    chaos_run, chaos_replay = (
+        run_integrity_workload(config, chaos_plan=sdc_plan) for _ in range(2)
     )
-    chaos_replay = run_integrity_workload(
-        config, chaos_plan=make_sdc_plan(config, span)
-    )
-    applied = (
-        chaos_run.session.applied_counts().get("silent_corrupt", 0)
-        if chaos_run.session is not None
-        else 0
+    applied = sum(
+        record["kind"] == "silent_corrupt" for record in chaos_run.chaos_applied
     )
     chaos_counters = chaos_run.counters_total()
     checks.append(
@@ -395,7 +307,7 @@ def smoke_checks(
             chaos_counters.get("tripped", 0) >= applied,
         )
     )
-    chaos_audit = _audit(chaos_run, replay=chaos_replay.report)
+    chaos_audit = chaos_run.audit(chaos_replay)
     checks.append(
         (
             "no corrupted batch settled unverified (audit)",
@@ -436,7 +348,7 @@ def smoke_checks(
     end = max(
         (record["t"] for record in esc.report.decisions), default=0.0
     )
-    stats = esc.rollup.window_stats(end, 1e-5)
+    stats = esc.server.rollup.window_stats(end, 1e-5)
     checks.append(
         (
             "SDC rate surfaced in the serving rollup",
@@ -445,7 +357,7 @@ def smoke_checks(
             and stats.sdc_rate() > 0.0,
         )
     )
-    checks.append(("escalation-run audit passes", _audit(esc).ok))
+    checks.append(("escalation-run audit passes", esc.audit().ok))
     checks.append(
         (
             "escalation conserved + requests all settled",
@@ -459,7 +371,6 @@ def smoke_checks(
 
 
 __all__ = [
-    "IntegrityRunResult",
     "IntegrityWorkloadConfig",
     "build_integrity_worker",
     "make_sdc_plan",

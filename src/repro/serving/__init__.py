@@ -30,6 +30,7 @@ from repro.serving.sharded import ShardedWorker, build_sharded_worker
 from repro.serving.worker import AcceleratorWorker
 from repro.serving.workload import (
     Phase,
+    ServeRunResult,
     WorkloadConfig,
     build_worker,
     run_serve_workload,
@@ -50,6 +51,7 @@ __all__ = [
     "Phase",
     "RejectedRequest",
     "ServeReport",
+    "ServeRunResult",
     "ServerConfig",
     "ShardWorkloadConfig",
     "ShardedWorker",

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import hashlib
 import heapq
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -215,6 +217,17 @@ class ServeReport:
             "completion_rate": self.completion_rate,
             "conservation_ok": self.conservation_ok(),
         }
+
+    def digest(self) -> str:
+        """Replay digest: SHA-256 of the decision log, then every
+        completed output in request-id order, bit-exact."""
+        h = hashlib.sha256()
+        h.update(json.dumps(self.decisions, sort_keys=True).encode())
+        for completion in sorted(
+            self.completed, key=lambda c: c.request.request_id
+        ):
+            h.update(completion.output.tobytes())
+        return h.hexdigest()
 
     def render(self) -> str:
         """Human-readable run summary."""

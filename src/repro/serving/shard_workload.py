@@ -34,6 +34,7 @@ from repro.errors import MappingError, ServingError
 from repro.serving.request import InferenceRequest, ShedReason
 from repro.serving.server import ServeReport, ServerConfig, TridentServer
 from repro.serving.sharded import ShardedWorker, build_sharded_worker
+from repro.serving.workload import ServeRunResult, mlp_weights, serve_arrivals
 from repro.sharding import ShardPlan, plan_pipeline
 
 
@@ -63,15 +64,7 @@ class ShardWorkloadConfig:
     #: stage is probeable by the time the server's half-open window runs).
     stage_cooldown_s: float = 2.5e-6
     server: ServerConfig = ServerConfig(
-        max_queue_depth=512,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=5,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        breaker_cooldown_s=5e-6,
-        seed=11,
+        max_queue_depth=512, max_retries=5, breaker_cooldown_s=5e-6, seed=11
     )
 
     def __post_init__(self) -> None:
@@ -108,15 +101,6 @@ class ShardWorkloadConfig:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def model_weights(config: ShardWorkloadConfig) -> list[np.ndarray]:
-    """The seeded model the run serves."""
-    rng = np.random.default_rng(config.seed + 1)
-    return [
-        rng.normal(0.0, 0.4, (config.dims[i + 1], config.dims[i]))
-        for i in range(len(config.dims) - 1)
-    ]
-
-
 def single_shard_mapping_error(config: ShardWorkloadConfig) -> str | None:
     """The MappingError message a one-shard mapping raises (None = fits)."""
     from repro.arch import TridentAccelerator
@@ -159,7 +143,7 @@ def build_reference_accelerator(config: ShardWorkloadConfig):
         program_verify=config.deterministic_verify(),
     )
     acc.map_mlp(list(config.dims))
-    acc.set_weights(model_weights(config))
+    acc.set_weights(mlp_weights(config.dims, config.seed))
     return acc
 
 
@@ -170,7 +154,7 @@ def build_pipeline_worker(
     return build_sharded_worker(
         0,
         plan_workload(config),
-        model_weights(config),
+        mlp_weights(config.dims, config.seed),
         config=config.shard_config(),
         overlap=overlap,
         seed=config.seed,
@@ -207,8 +191,12 @@ def run_shard_workload(
     *,
     overlap: bool = True,
     degrade: bool = False,
-) -> tuple[ServeReport, TridentServer, ShardedWorker]:
-    """Serve the burst on one sharded worker; optional mid-run stage fault."""
+    chaos_plan=None,
+) -> ServeRunResult:
+    """Serve the burst on one sharded worker; optional mid-run stage fault.
+
+    ``chaos_plan`` is passed to :func:`~repro.serving.workload.serve_arrivals`.
+    """
     config = config or ShardWorkloadConfig()
     worker = build_pipeline_worker(config, overlap)
     server = TridentServer([worker], config=config.server)
@@ -223,8 +211,7 @@ def run_shard_workload(
         server.schedule_action(
             config.degrade_at_s, "degrade_stage", force_stage_degradation
         )
-    report = server.run(arrivals)
-    return report, server, worker
+    return serve_arrivals(server, arrivals, chaos_plan)
 
 
 def makespan_s(report: ServeReport) -> float:
@@ -281,11 +268,7 @@ def forward_accounting_conserved(config: ShardWorkloadConfig) -> bool:
     out_ref = reference.forward_batch(xs)
     out_pipe = worker.execute(xs)
     ref_delta = reference.counters.diff(ref_before).as_dict()
-    pipe_after = worker.pipeline.counters()
-    pipe_delta = {
-        key: pipe_after.as_dict()[key] - pipe_before.as_dict()[key]
-        for key in pipe_before.as_dict()
-    }
+    pipe_delta = worker.pipeline.counters().diff(pipe_before).as_dict()
     # Every chip pays its own inference-mode entry; all *work* events
     # (writes, symbols, activations) must match the reference exactly.
     ref_delta.pop("mode_switches")
@@ -301,12 +284,13 @@ def shard_smoke_checks(
     plan = plan_workload(config)
     infeasible_msg = single_shard_mapping_error(config)
 
-    overlap_report, _, _ = run_shard_workload(config, overlap=True)
-    serial_report, _, _ = run_shard_workload(config, overlap=False)
-    fault_report, _, fault_worker = run_shard_workload(
+    overlap_report = run_shard_workload(config, overlap=True).report
+    serial_report = run_shard_workload(config, overlap=False).report
+    fault = run_shard_workload(config, overlap=True, degrade=True)
+    fault_report, fault_worker = fault.report, fault.workers[0]
+    replay_report = run_shard_workload(
         config, overlap=True, degrade=True
-    )
-    replay_report, _, _ = run_shard_workload(config, overlap=True, degrade=True)
+    ).report
 
     overlap_makespan = makespan_s(overlap_report)
     serial_makespan = makespan_s(serial_report)

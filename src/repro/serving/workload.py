@@ -11,6 +11,10 @@ and served on the virtual clock, so a given seed replays to a
 bit-identical decision log; :func:`smoke_checks` turns that plus the
 robustness invariants into the pass/fail list the ``repro serve
 --smoke`` CI gate prints.
+
+The module also holds what every serving scenario shares: the chip and
+worker builders and :func:`serve_arrivals`, the one place a run is
+served (under an optional chaos plan) into a :class:`ServeRunResult`.
 """
 
 from __future__ import annotations
@@ -61,17 +65,7 @@ class WorkloadConfig:
     degrade_fraction: float = 0.08
     #: Which phase the forced degradation lands in (by name).
     degrade_phase: str = "drain"
-    server: ServerConfig = ServerConfig(
-        max_queue_depth=64,
-        max_batch=16,
-        slo_latency_s=1e-5,
-        max_retries=2,
-        retry_backoff_s=5e-7,
-        retry_jitter_s=1e-7,
-        breaker_failure_threshold=3,
-        breaker_cooldown_s=5e-6,
-        seed=7,
-    )
+    server: ServerConfig = ServerConfig(breaker_cooldown_s=5e-6, seed=7)
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
@@ -82,6 +76,8 @@ class WorkloadConfig:
             raise ServingError("priority probabilities must sum to 1")
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ServingError("deadline fraction must be in [0, 1]")
+        if not 0.0 <= self.degrade_fraction <= 1.0:
+            raise ServingError("degrade fraction must be in [0, 1]")
         if not any(p.name == self.degrade_phase for p in self.phases):
             raise ServingError(
                 f"degrade phase {self.degrade_phase!r} is not a phase name"
@@ -91,35 +87,58 @@ class WorkloadConfig:
 # ----------------------------------------------------------------------
 # Fleet construction
 # ----------------------------------------------------------------------
-def build_worker(
-    worker_id: int, dims: tuple[int, ...], seed: int
-) -> AcceleratorWorker:
-    """One mapped, programmed, repairable accelerator worker."""
+def build_chip(dims: tuple[int, ...], seed: int, *, spare_rows: int = 4):
+    """A mapped, unprogrammed MLP accelerator with program-verify on.
+
+    Square banks sized to the widest layer, so each layer maps onto a
+    single tile; program it with :func:`mlp_weights` (or a state dict).
+    """
     from repro.arch import TridentAccelerator, TridentConfig
     from repro.devices.program_verify import ProgramVerifyConfig
-    from repro.faults import FaultManager, RepairConfig
 
     rows = max(max(dims), 2)
     config = TridentConfig(
-        bank_rows=rows, bank_cols=rows, spare_rows=4, convergence_floor=0.0
+        bank_rows=rows,
+        bank_cols=rows,
+        spare_rows=spare_rows,
+        convergence_floor=0.0,
     )
     acc = TridentAccelerator(
         config=config, seed=seed, program_verify=ProgramVerifyConfig()
     )
     acc.map_mlp(list(dims))
+    return acc
+
+
+def mlp_weights(dims: tuple[int, ...], seed: int) -> list[np.ndarray]:
+    """The seeded N(0, 0.4) model every scenario serves."""
     rng = np.random.default_rng(seed + 1)
-    weights = [
+    return [
         rng.normal(0.0, 0.4, (dims[i + 1], dims[i]))
         for i in range(len(dims) - 1)
     ]
+
+
+def remap_manager(acc):
+    """A remap-policy fault manager for ``acc``."""
+    from repro.faults import FaultManager, RepairConfig
+
     # The migration budget must cover every mapped tile: serving declares a
     # worker healthy only when *all* its active banks converge, so a
     # single-migration budget would strand any second degraded tile.
     n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-    manager = FaultManager(
+    return FaultManager(
         acc, config=RepairConfig(policy="remap", max_migrations=n_tiles)
     )
-    manager.deploy([w.copy() for w in weights])
+
+
+def build_worker(
+    worker_id: int, dims: tuple[int, ...], seed: int
+) -> AcceleratorWorker:
+    """One mapped, programmed, repairable accelerator worker."""
+    acc = build_chip(dims, seed)
+    manager = remap_manager(acc)
+    manager.deploy(mlp_weights(dims, seed))
     return AcceleratorWorker(worker_id, acc, manager=manager)
 
 
@@ -173,15 +192,90 @@ def synthesize_arrivals(
 # ----------------------------------------------------------------------
 # The run itself
 # ----------------------------------------------------------------------
+@dataclass
+class ServeRunResult:
+    """Everything one served run produced."""
+
+    report: ServeReport
+    server: TridentServer
+    #: The roster the run started with.
+    workers: list
+    #: The active chaos session (None when no plan was given).
+    session: object
+    #: :func:`~repro.chaos.audit.capture_accounting` taken before the run.
+    pre_accounting: dict
+    #: Arrival span of the run (chaos windows are sized from this).
+    window_s: float
+
+    @property
+    def chaos_applied(self) -> list[dict]:
+        """Injections the chaos session applied, in order."""
+        return [] if self.session is None else list(self.session.applied)
+
+    def counters_total(self) -> dict:
+        """Attestation counters summed across ABFT-checked workers."""
+        total: dict[str, int] = {}
+        for worker in self.workers:
+            checker = getattr(worker, "integrity", None)
+            if checker is None:
+                continue
+            for key, value in checker.counters.as_dict().items():
+                total[key] = total.get(key, 0) + value
+        return total
+
+    def audit(self, replay: ServeRunResult | None = None):
+        """The post-mortem invariant audit of this run (and its replay)."""
+        from repro.chaos.audit import audit_serve_run
+
+        return audit_serve_run(
+            self.report,
+            workers=self.workers,
+            pre_accounting=self.pre_accounting,
+            replay=None if replay is None else replay.report,
+            session=self.session,
+        )
+
+
+def serve_arrivals(
+    server: TridentServer, arrivals: list[InferenceRequest], chaos_plan=None
+) -> ServeRunResult:
+    """Serve ``arrivals`` to completion, under ``chaos_plan`` when given.
+
+    ``chaos_plan`` is a :class:`~repro.chaos.plan.ChaosPlan`, or a
+    callable invoked with the arrival span (``plan = chaos_plan(window_s)``)
+    for callers that size the plan to a span they cannot know before
+    the arrivals exist.
+    """
+    from repro.chaos.audit import capture_accounting
+
+    window_s = arrivals[-1].arrival_s if arrivals else 0.0
+    if callable(chaos_plan):
+        chaos_plan = chaos_plan(window_s)
+    workers = list(server.workers)
+    pre = capture_accounting(workers)
+    session = None
+    if chaos_plan is None:
+        report = server.run(arrivals)
+    else:
+        from repro.chaos.session import session as chaos_scope
+
+        with chaos_scope(chaos_plan) as session:
+            server.install_chaos(session)
+            report = server.run(arrivals)
+    return ServeRunResult(report, server, workers, session, pre, window_s)
+
+
 def run_serve_workload(
-    config: WorkloadConfig | None = None,
-) -> tuple[ServeReport, TridentServer]:
+    config: WorkloadConfig | None = None, *, chaos_plan=None
+) -> ServeRunResult:
     """Build the fleet, synthesize arrivals, serve to completion.
 
     The first worker is forced into PCM degradation a quarter of the way
     into ``degrade_phase`` (stuck-cell injection + readback refresh), so
     its batches start failing, its breaker trips, and the half-open
-    repair path has to win the worker back under live traffic.
+    repair path has to win the worker back under live traffic.  A
+    ``degrade_fraction`` of 0 schedules no degradation at all.
+    ``chaos_plan`` is passed to :func:`serve_arrivals`.
     """
     config = config or WorkloadConfig()
     workers = [
@@ -193,16 +287,17 @@ def run_serve_workload(
     rng = np.random.default_rng(config.seed)
     arrivals, windows = synthesize_arrivals(config, rate, rng)
 
-    start, end = windows[config.degrade_phase]
-    degrade_at = start + 0.25 * (end - start)
     fraction = config.degrade_fraction
+    if fraction > 0.0:
+        start, end = windows[config.degrade_phase]
 
-    def force_degradation(srv: TridentServer) -> None:
-        srv.workers[0].degrade(fraction, stuck_level=254)
+        def force_degradation(srv: TridentServer) -> None:
+            srv.workers[0].degrade(fraction, stuck_level=254)
 
-    server.schedule_action(degrade_at, "force_degradation", force_degradation)
-    report = server.run(arrivals)
-    return report, server
+        server.schedule_action(
+            start + 0.25 * (end - start), "force_degradation", force_degradation
+        )
+    return serve_arrivals(server, arrivals, chaos_plan)
 
 
 # ----------------------------------------------------------------------

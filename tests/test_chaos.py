@@ -34,8 +34,8 @@ from repro.chaos.session import (
 from repro.chaos.soak import (
     SoakConfig,
     _run_serve,
-    _serve_digest,
-    _serve_exec,
+    _serve_chaos_plan,
+    _serve_workload_config,
     render_matrix,
     run_cell,
     run_self_audit,
@@ -356,7 +356,7 @@ class TestAudit:
     def test_tampered_decision_log_fails_atomicity(self):
         from repro.chaos import audit_serve_run
 
-        report, _, _, _ = _serve_exec(0, False)
+        report = _soak_serve_run(0, False).report
         dropped = [r for r in report.decisions if r["kind"] != "complete"]
         tampered = dataclasses.replace(report, decisions=dropped)
         result = audit_serve_run(tampered)
@@ -365,8 +365,8 @@ class TestAudit:
     def test_replay_mismatch_detected(self):
         from repro.chaos import audit_serve_run
 
-        report, _, _, _ = _serve_exec(0, False)
-        other, _, _, _ = _serve_exec(1, False)
+        report = _soak_serve_run(0, False).report
+        other = _soak_serve_run(1, False).report
         result = audit_serve_run(report, replay=other)
         assert any("bit_identical_replay" in f for f in result.failed())
 
@@ -378,10 +378,10 @@ class TestChaosDeterminismProperties:
     @given(seed=st.integers(0, 50))
     @settings(max_examples=5, deadline=None)
     def test_same_seeds_same_bits_under_chaos(self, seed):
-        a, _, _, sa = _serve_exec(seed, True)
-        b, _, _, sb = _serve_exec(seed, True)
-        assert _serve_digest(a) == _serve_digest(b)
-        assert sa.applied == sb.applied
+        a = _soak_serve_run(seed, True)
+        b = _soak_serve_run(seed, True)
+        assert a.report.digest() == b.report.digest()
+        assert a.chaos_applied == b.chaos_applied
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=5, deadline=None)
@@ -392,10 +392,19 @@ class TestChaosDeterminismProperties:
         config = dataclasses.replace(
             _small_workload_config(), seed=int(seed)
         )
-        report_off, _ = run_serve_workload(config)
+        report_off = run_serve_workload(config).report
         with chaos_scope(ChaosPlan(seed=0)):
-            report_on, _ = run_serve_workload(config)
-        assert _serve_digest(report_off) == _serve_digest(report_on)
+            report_on = run_serve_workload(config).report
+        assert report_off.digest() == report_on.digest()
+
+
+def _soak_serve_run(seed, chaos_enabled):
+    """One run of the soak harness's serve cell."""
+    from repro.serving.workload import run_serve_workload
+
+    config = _serve_workload_config(seed)
+    plan = _serve_chaos_plan(config) if chaos_enabled else None
+    return run_serve_workload(config, chaos_plan=plan)
 
 
 def _small_workload_config():

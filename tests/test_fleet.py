@@ -349,6 +349,7 @@ class TestFleetRuns:
         a = run_fleet_workload(scenario, controlled=True)
         b = run_fleet_workload(scenario, controlled=True)
         assert fleet_digest(a) == fleet_digest(b)
+        assert fleet_digest(a) == a.report.digest()
 
     def test_storm_drives_one_degraded_episode(self):
         scenario = smoke_scenario(seed=11)

@@ -1,5 +1,7 @@
 """Tests for the fault-aware serving layer (repro.serving)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -373,9 +375,9 @@ class TestWorkloadAndSmoke:
                 Phase("drain", 250, 0.35),
             ),
         )
-        report, server = run_serve_workload(config)
-        replay, _ = run_serve_workload(config)
-        return report, replay, server
+        result = run_serve_workload(config)
+        replay = run_serve_workload(config).report
+        return result.report, replay, result.server
 
     def test_smoke_checks_all_pass(self, runs):
         report, replay, _ = runs
@@ -413,6 +415,37 @@ class TestWorkloadAndSmoke:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["conservation_ok"] is True
         assert payload["submitted"] == 550
+
+    def test_digest_ignores_completion_order_but_sees_one_ulp(self, runs):
+        report, replay, _ = runs
+        assert report.digest() == replay.digest()
+        reordered = dataclasses.replace(
+            report, completed=report.completed[::-1]
+        )
+        assert reordered.digest() == report.digest()
+        first = report.completed[0]
+        nudged = first.output.copy()
+        nudged[0] = np.nextafter(nudged[0], np.inf)
+        moved = dataclasses.replace(
+            report,
+            completed=[dataclasses.replace(first, output=nudged)]
+            + report.completed[1:],
+        )
+        assert moved.digest() != report.digest()
+
+    def test_zero_degrade_fraction_forces_no_degradation(self):
+        config = WorkloadConfig(
+            phases=(Phase("warm", 40, 0.6), Phase("drain", 40, 0.35)),
+            degrade_fraction=0.0,
+        )
+        result = run_serve_workload(config)
+        assert not [
+            d for d in result.report.decisions if d["kind"] == "action"
+        ]
+        for worker in result.workers:
+            assert all(pe.bank.stuck_fraction == 0.0 for pe in worker.acc.pes)
+        with pytest.raises(ServingError):
+            WorkloadConfig(degrade_fraction=-0.1)
 
     def test_sustainable_rate_positive(self, tiny_dims):
         workers = [make_worker(dims=tiny_dims)]
