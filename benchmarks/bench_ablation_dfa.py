@@ -6,11 +6,9 @@ functional hardware and prices DFA's genuine advantage — resident feedback
 matrices cost no backward retuning — against its convergence penalty.
 """
 
-import numpy as np
-
 from repro import TridentAccelerator
 from repro.eval.formatting import format_table
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 from repro.training.dfa import DFATrainer
 from repro.training.insitu import InSituTrainer
@@ -21,7 +19,7 @@ DIMS = [8, 12, 3]
 
 def dfa_vs_bp(epochs: int = 6, seed: int = 1):
     data = make_blobs(n_samples=300, n_features=8, n_classes=3, spread=0.8, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     train, test = data.split(0.8, seed=0)
 
     results = []

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro import InSituTrainer, NoiseModel, TridentAccelerator
 from repro.eval.formatting import format_table
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 from repro.training.trainer import train_classifier
 
@@ -22,7 +22,7 @@ def insitu_ablation(seed: int = 5):
     # Overlapping clusters: the decision boundary passes near many points,
     # so analog noise + 8-bit quantization visibly move predictions.
     data = make_blobs(n_samples=400, n_features=10, n_classes=3, spread=2.0, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     train, test = data.split(0.8, seed=1)
     noise = NoiseModel(
         enabled=True, thermal_noise_std=0.1, shot_noise_coeff=0.02,

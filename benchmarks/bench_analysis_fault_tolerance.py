@@ -11,7 +11,7 @@ import numpy as np
 
 from repro import TridentAccelerator
 from repro.eval.formatting import format_table
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 
 FAULT_FRACTIONS = (0.0, 0.05, 0.2, 0.5, 0.8)
@@ -19,7 +19,7 @@ FAULT_FRACTIONS = (0.0, 0.05, 0.2, 0.5, 0.8)
 
 def fault_sweep(trials: int = 5, seed: int = 5):
     data = make_blobs(n_samples=300, n_features=10, n_classes=3, spread=1.2, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     train, test = data.split(0.8, seed=1)
     mlp = DigitalMLP([10, 14, 3], activation="gst", seed=7)
     for epoch in range(8):

@@ -27,9 +27,10 @@ def test_bank_program_speed(benchmark):
     benchmark(bank.program, w)
 
 
-def test_bank_matvec_speed(benchmark, programmed_bank):
-    x = np.random.default_rng(2).uniform(-1, 1, 16)
-    benchmark(programmed_bank.matvec, x)
+def test_bank_single_symbol_speed(benchmark, programmed_bank):
+    x = np.random.default_rng(2).uniform(-1, 1, (16, 1))
+    result = benchmark(programmed_bank.matmat, x)
+    assert result.shape == (16, 1)
 
 
 def test_bank_matmat_batch_speed(benchmark, programmed_bank):

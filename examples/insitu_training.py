@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import InSituTrainer, NoiseModel, TridentAccelerator
 from repro.eval.formatting import format_table
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 from repro.training.trainer import train_classifier
 
@@ -27,7 +27,7 @@ DIMS = [10, 14, 3]  # 10 sensor channels -> 14 hidden -> 3 activities
 def make_task(seed: int = 5):
     """Synthetic stand-in for per-user sensor data (overlapping classes)."""
     data = make_blobs(n_samples=400, n_features=10, n_classes=3, spread=2.0, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     return data.split(0.8, seed=1)
 
 

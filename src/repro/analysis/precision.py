@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.arch.accelerator import TridentAccelerator
 from repro.arch.config import TridentConfig
 from repro.devices.tuning import GSTTuning
 from repro.errors import ConfigError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.quantization import quantize_tensor
 from repro.nn.reference import DigitalMLP
 from repro.training.insitu import InSituTrainer
@@ -52,7 +50,7 @@ class PrecisionPoint:
 
 def _task(seed: int):
     data = make_blobs(n_samples=400, n_features=10, n_classes=3, spread=2.0, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     return data.split(0.8, seed=1)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.arch.accelerator import TridentAccelerator
 from repro.devices.noise import NoiseModel
 from repro.errors import ConfigError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import Dataset, make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 
 
@@ -37,7 +37,7 @@ def make_reference_task(seed: int = 5):
     """Standard task + digitally trained reference network."""
     dims = [10, 14, 3]
     data = make_blobs(n_samples=400, n_features=10, n_classes=3, spread=2.0, seed=seed)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     train, test = data.split(0.8, seed=1)
     mlp = DigitalMLP(dims, activation="gst", seed=7)
     for epoch in range(8):

@@ -394,35 +394,12 @@ class WeightBank:
             return x
         return self.crosstalk @ x
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Analog MVP: realized block times input vector (one symbol).
-
-        ``x`` must have length <= cols and entries in [-1, 1] (the E/O
-        encoder's range).  Returns the per-row differential signals before
-        detection — length = programmed row count.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError(f"input must be a vector, got shape {x.shape}")
-        if self._needs_reprogram:
-            raise ProgrammingError(
-                "bank rows were remapped; reprogram before streaming"
-            )
-        r, c = self.occupancy
-        if x.shape[0] != c:
-            raise ShapeError(f"input length {x.shape[0]} != programmed columns {c}")
-        if np.any(np.abs(x) > 1.0 + 1e-9):
-            raise ProgrammingError("inputs must lie in [-1, 1] (normalize first)")
-        full = np.zeros(self.cols, dtype=np.float64)
-        full[:c] = x
-        eff = self._effective_inputs(full)
-        self.stats.symbols += 1
-        return self._realized[self._row_map[:r]] @ eff
-
     def matmat(self, x: np.ndarray, *, validate: bool = True) -> np.ndarray:
-        """Batched MVP: (cols_used, B) inputs -> (rows_used, B) outputs.
+        """Analog MVP: (cols_used, B) inputs -> (rows_used, B) outputs.
 
-        Counts B symbols; the physical bank streams one column per symbol.
+        Counts B symbols; the physical bank streams one column per symbol
+        (one input vector is the B = 1 case).  Inputs must lie in [-1, 1],
+        the E/O encoder's range.
         ``validate=False`` skips the E/O range re-check for slabs that
         come straight out of the encoder (``normalize_columns`` bounds
         its output by construction) — the check is an O(cols x B) sweep

@@ -333,10 +333,10 @@ def _train_trainer(seed: int, directory: str):
 
 
 def _train_data(seed: int):
-    from repro.nn.datasets import Dataset, make_blobs, standardize
+    from repro.nn.datasets import make_blobs, to_analog_range
 
     raw = make_blobs(n_samples=48, n_features=6, n_classes=3, seed=seed + 2)
-    return Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
+    return to_analog_range(raw)
 
 
 def _run_train(seed: int, chaos_enabled: bool) -> dict:

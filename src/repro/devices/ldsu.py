@@ -65,9 +65,10 @@ class DFlipFlop:
 class LDSU:
     """Comparator + per-row flip-flop bank storing f'(h) for one PE.
 
-    One bit per weight-bank row (J bits total).  ``capture`` runs during the
-    forward pass; ``derivative_gains`` replays the stored bits as TIA gain
-    values during the gradient-vector step.
+    One bit per weight-bank row (J bits) per streamed sample.
+    ``capture_batch`` runs during the forward pass; ``derivative_gains_batch``
+    replays the stored bits as TIA gain values during the gradient-vector
+    step.
     """
 
     n_rows: int = 16
@@ -75,7 +76,6 @@ class LDSU:
     #: The two-valued derivative of the GST activation (paper: 0.34 / 0).
     derivative_high: float = 0.34
     power_w: float = 0.09 * MW
-    _bits: np.ndarray = field(init=False, repr=False)
     _batch_bits: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -83,32 +83,17 @@ class LDSU:
             raise ConfigError(f"n_rows must be positive, got {self.n_rows}")
         if not 0.0 < self.derivative_high:
             raise ConfigError("derivative_high must be positive")
-        self._bits = np.zeros(self.n_rows, dtype=bool)
 
     # ------------------------------------------------------------------
-    def capture(self, logits: np.ndarray) -> np.ndarray:
-        """Latch the comparator outputs for a row-vector of logits.
-
-        Returns the captured bits (copy).  Raises if the shape does not
-        match the number of rows — a mis-sized capture means the layer was
-        mapped onto the wrong PE geometry.
-        """
-        h = np.asarray(logits, dtype=np.float64)
-        if h.shape != (self.n_rows,):
-            raise DeviceError(
-                f"expected logits of shape ({self.n_rows},), got {h.shape}"
-            )
-        self._bits = self.comparator.compare(h)
-        return self._bits.copy()
-
     def capture_batch(self, logits: np.ndarray) -> np.ndarray:
         """Latch comparator outputs for a (n_rows, B) batch of logit columns.
 
         One column per streamed sample: the flip-flops latch per symbol and
         the control unit shifts each sample's bit plane out before the next
-        arrives.  Stores the full (n_rows, B) plane for a batched backward
-        pass and leaves the per-sample flip-flops holding the final column —
-        the state a per-sample sweep of :meth:`capture` would leave behind.
+        arrives.  Stores the full (n_rows, B) plane for the backward pass
+        and returns a copy.  Raises if the row count does not match — a
+        mis-sized capture means the layer was mapped onto the wrong PE
+        geometry.
         """
         h = np.asarray(logits, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != self.n_rows:
@@ -116,53 +101,40 @@ class LDSU:
                 f"expected logits of shape ({self.n_rows}, B), got {h.shape}"
             )
         self._batch_bits = self.comparator.compare(h)
-        if h.shape[1]:
-            self._bits = self._batch_bits[:, -1].copy()
         return self._batch_bits.copy()
 
     @property
-    def bits(self) -> np.ndarray:
-        """Currently stored bits (copy; storage is not externally mutable)."""
-        return self._bits.copy()
-
-    @property
     def batch_bits(self) -> np.ndarray:
-        """The (n_rows, B) bit plane of the last batched capture (copy)."""
+        """The (n_rows, B) bit plane of the last capture (copy)."""
         if self._batch_bits is None:
             raise DeviceError("no batched capture has run (call capture_batch)")
         return self._batch_bits.copy()
 
-    def derivative_gains(self) -> np.ndarray:
-        """f'(h) per row from the stored bits: derivative_high or 0."""
-        return np.where(self._bits, self.derivative_high, 0.0)
-
     def derivative_gains_batch(self) -> np.ndarray:
-        """f'(h) per row per sample from the last batched capture."""
+        """f'(h) per row per sample from the last capture."""
         if self._batch_bits is None:
             raise DeviceError("no batched capture has run (call capture_batch)")
         return np.where(self._batch_bits, self.derivative_high, 0.0)
 
     def clear(self) -> None:
-        """Reset all flip-flops and drop the batched bit plane."""
-        self._bits = np.zeros(self.n_rows, dtype=bool)
+        """Drop the captured bit plane."""
         self._batch_bits = None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot of the flip-flop bits and any held batched bit plane."""
+        """Snapshot of the held bit plane (None before any capture)."""
         return {
-            "bits": self._bits.copy(),
             "batch_bits": None if self._batch_bits is None else self._batch_bits.copy(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (shape-checked)."""
-        bits = np.asarray(state["bits"], dtype=bool)
-        if bits.shape != (self.n_rows,):
-            raise DeviceError(
-                f"LDSU snapshot has {bits.shape[0] if bits.ndim else 0} rows, "
-                f"this LDSU has {self.n_rows}"
-            )
-        self._bits = bits.copy()
         batch = state["batch_bits"]
-        self._batch_bits = None if batch is None else np.asarray(batch, dtype=bool)
+        if batch is not None:
+            batch = np.asarray(batch, dtype=bool)
+            if batch.ndim != 2 or batch.shape[0] != self.n_rows:
+                raise DeviceError(
+                    f"LDSU snapshot bit plane has shape {batch.shape}, "
+                    f"this LDSU has {self.n_rows} rows"
+                )
+        self._batch_bits = batch

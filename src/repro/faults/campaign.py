@@ -46,7 +46,7 @@ from repro.errors import (
 from repro.eval.formatting import format_table
 from repro.faults.detector import FaultDetector
 from repro.faults.repair import FaultManager, RepairConfig, RepairPolicy
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import Dataset, make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 from repro.runtime.checkpoint import state_digest
 from repro.telemetry.log import get_logger
@@ -335,7 +335,7 @@ def _reference_weights(config: CampaignConfig) -> tuple[list[np.ndarray], Datase
         spread=1.2,
         seed=config.seed + 5,
     )
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     train, test = data.split(0.8, seed=1)
     mlp = DigitalMLP(list(config.dims), activation="gst", seed=7)
     for epoch in range(config.reference_epochs):

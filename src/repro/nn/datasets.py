@@ -78,6 +78,15 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
+def to_analog_range(data: Dataset) -> Dataset:
+    """Standardized features scaled by 1/3 and clipped into [-1, 1].
+
+    The E/O encoder's input range: three standard deviations map onto
+    full scale, so only outliers clip.  Labels pass through.
+    """
+    return Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+
+
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """(n,) integer labels -> (n, n_classes) one-hot floats."""
     y = np.asarray(labels)

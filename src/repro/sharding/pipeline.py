@@ -5,7 +5,7 @@ plus the model's true-valued weight matrices and instantiates one
 :class:`~repro.arch.TridentAccelerator` per stage part, each mapping its
 contiguous layer range (or its row slice of a wide layer).  The resulting
 :class:`ShardedPipeline` exposes the single-accelerator inference surface
-— ``forward`` / ``forward_batch``, merged :class:`~repro.arch.
+— ``forward_batch``, merged :class:`~repro.arch.
 accelerator.EventCounters`, energy/time estimates, ``state_dict`` /
 ``load_state_dict`` — so callers swap a pipeline in wherever an
 accelerator fit before.
@@ -91,14 +91,6 @@ class PipelineStage:
             axis=1,
         )
 
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Per-sample counterpart of :meth:`forward_batch`."""
-        if len(self.parts) == 1:
-            return self.parts[0].forward(x, record=record)
-        return np.concatenate(
-            [part.forward(x, record=record) for part in self.parts]
-        )
-
 
 class ShardedPipeline:
     """A model running as a layer pipeline over several accelerators."""
@@ -157,23 +149,6 @@ class ShardedPipeline:
                     batch=value.shape[0],
                 ):
                     value = stage.forward_batch(value, record=record)
-        return value
-
-    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
-        """Forward one sample stage by stage."""
-        value = np.asarray(x, dtype=np.float64)
-        if value.shape != (self.input_dim,):
-            raise ShapeError(
-                f"input shape {value.shape} != ({self.input_dim},)"
-            )
-        with _trace_span("sharded_forward", stages=len(self.stages)):
-            for stage in self.stages:
-                with _trace_span(
-                    "pipeline_stage",
-                    stage=stage.spec.index,
-                    parts=len(stage.parts),
-                ):
-                    value = stage.forward(value, record=record)
         return value
 
     # ------------------------------------------------------------------

@@ -135,25 +135,25 @@ class DFATrainer:
         e_norm = RangeNormalizer.normalize(error)
         if self.dedicated_feedback:
             pe = self.feedback_pes[k]
-            out = pe.bpd.detect_normalized(pe.bank.matvec(e_norm.values))
-            self.acc.counters.symbols += 1
-            return out * getattr(pe, "_dfa_scale") * e_norm.scale
-        # Fallback: program B_k into the layer's PE (costs a write).
-        layer = self.acc.layers[k]
-        pe = self.acc.pes[layer.tiles[0][4]]
-        b_norm = RangeNormalizer.normalize(self.feedback[k].ravel())
-        pe.program_weights(self.feedback[k] / b_norm.scale)
-        self.acc.counters.bank_writes += 1
-        self.acc.counters.cells_written += self.feedback[k].size
-        out = pe.bpd.detect_normalized(pe.bank.matvec(e_norm.values))
+            scale = getattr(pe, "_dfa_scale")
+        else:
+            # Fallback: program B_k into the layer's PE (costs a write).
+            layer = self.acc.layers[k]
+            pe = self.acc.pes[layer.tiles[0][4]]
+            b_norm = RangeNormalizer.normalize(self.feedback[k].ravel())
+            pe.program_weights(self.feedback[k] / b_norm.scale)
+            self.acc.counters.bank_writes += 1
+            self.acc.counters.cells_written += self.feedback[k].size
+            scale = b_norm.scale
+        out = pe.bpd.detect_normalized(pe.bank.matmat(e_norm.values[:, None]))
         self.acc.counters.symbols += 1
-        return out * b_norm.scale * e_norm.scale
+        return out[:, 0] * scale * e_norm.scale
 
     def _outer(self, k: int, delta: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
         pe = self.acc.pes[self.acc.layers[k].tiles[0][4]]
         d_norm = RangeNormalizer.normalize(delta)
         y_norm = RangeNormalizer.normalize(y_prev)
-        grad = pe.outer_product(d_norm.values, y_norm.values)
+        grad = pe.outer_product_batch(d_norm.values[None], y_norm.values[None])[0]
         self.acc.counters.bank_writes += 1
         self.acc.counters.cells_written += y_prev.size * delta.size
         self.acc.counters.symbols += delta.size
@@ -161,7 +161,13 @@ class DFATrainer:
 
     # ------------------------------------------------------------------
     def train_step(self, x_batch: np.ndarray, labels: np.ndarray) -> float:
-        """One photonic DFA step over a minibatch; returns the loss."""
+        """One photonic DFA step over a minibatch; returns the loss.
+
+        Samples run one at a time (batches of one through the accelerator's
+        batched kernels): each sample's error is projected and its outer
+        products taken before the next sample streams, so the layer banks
+        are restored to the forward weights between samples.
+        """
         x_batch = np.atleast_2d(np.asarray(x_batch, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
         if x_batch.shape[0] != labels.shape[0]:
@@ -169,23 +175,25 @@ class DFATrainer:
         layers = self.acc.layers
         accum = [np.zeros((l.out_dim, l.in_dim)) for l in layers]
         total_loss = 0.0
-        for i, (x, label) in enumerate(zip(x_batch, labels)):
+        batch = x_batch.shape[0]
+        for i in range(batch):
             if i > 0:
                 self.acc.set_weights([layer.weights for layer in layers])
-            logits = self.acc.forward(x, record=True)
-            loss, grad = cross_entropy_loss(logits[None, :], np.array([label]))
+            logits = self.acc.forward_batch(x_batch[i : i + 1], record=True)
+            loss, grad = cross_entropy_loss(logits, labels[i : i + 1])
             total_loss += loss
             error = grad[0]
             # Output layer uses the true error (as in DFA).
-            accum[-1] += self._outer(len(layers) - 1, error, layers[-1].last_input)
+            accum[-1] += self._outer(
+                len(layers) - 1, error, layers[-1].last_input_batch[0]
+            )
             for k in range(len(layers) - 1):
                 projected = self._project_error(k, error)
                 pe = self.acc.pes[layers[k].tiles[0][4]]
-                gains = pe.ldsu.derivative_gains()[: layers[k].out_dim]
+                gains = pe.ldsu.derivative_gains_batch()[: layers[k].out_dim, 0]
                 delta = projected * gains
                 if np.max(np.abs(delta)) > 0:
-                    accum[k] += self._outer(k, delta, layers[k].last_input)
-        batch = x_batch.shape[0]
+                    accum[k] += self._outer(k, delta, layers[k].last_input_batch[0])
         self.acc.set_weights(
             [layer.weights - self.lr * a / batch for layer, a in zip(layers, accum)]
         )

@@ -1,0 +1,183 @@
+"""Naive per-sample oracles for the accelerator's batched kernels.
+
+The library runs each operation through one batched path: inference, the
+gradient vector and the outer product all take a batch of B samples, and a
+single sample is B = 1.  These references restate the per-sample hardware
+schedule in plain loops, so tests can check the batched kernels against
+code that shares none of their batching:
+
+- one symbol at a time through a bank zero-padded to its full width;
+- the outer product as a real program-then-stream of a column-constant
+  bank (``bank.program`` + ``matmat(diag(delta))``);
+- training one sample at a time, restoring the forward weights the
+  previous sample's backward pass overwrote.
+
+Every function charges the accelerator's event counters and the banks'
+stats the way the hardware would, so counters can be compared exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.arch.control import OperatingMode, RangeNormalizer
+from repro.nn.reference import cross_entropy_loss
+
+#: A delta whose peak magnitude is below this is a dead path (the
+#: trainer's threshold).
+GRAD_EPS = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Bank and PE
+# ----------------------------------------------------------------------
+def bank_matvec(bank, x: np.ndarray) -> np.ndarray:
+    """One symbol through ``bank``: the realized block times ``x``.
+
+    ``x`` is zero-padded to the full bank width and mixed through the
+    crosstalk matrix (if any); the bank is charged one symbol.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rows, cols = bank.occupancy
+    assert x.shape == (cols,), f"input {x.shape} != programmed columns {cols}"
+    full = np.zeros(bank.cols)
+    full[:cols] = x
+    if bank.crosstalk is not None:
+        full = bank.crosstalk @ full
+    bank.account_symbols(1)
+    return bank.logical_weights[:rows] @ full
+
+
+def pe_forward(pe, x: np.ndarray) -> np.ndarray:
+    """Inference on one sample: the detected logits h = W x (normalized)."""
+    return pe.bpd.detect_normalized(bank_matvec(pe.bank, x))
+
+
+def ldsu_gains(pe, logits: np.ndarray) -> np.ndarray:
+    """The f'(h) TIA gains the PE's LDSU latches for one sample's logits."""
+    ldsu = pe.ldsu
+    return np.where(ldsu.comparator.compare(logits), ldsu.derivative_high, 0.0)
+
+
+def pe_gradient_vector(pe, delta_next: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """(W^T d) ⊙ f'(h) for one sample; the bank already holds W^T."""
+    detected = pe.bpd.detect_normalized(bank_matvec(pe.bank, delta_next))
+    return detected * gains[: detected.shape[0]]
+
+
+def pe_outer_product(pe, delta_h: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
+    """d ⊗ y for one sample: program y column-constant, stream diag(d)."""
+    pe.bank.program(np.tile(y_prev[:, None], (1, delta_h.shape[0])))
+    streamed = pe.bank.matmat(np.diag(delta_h))  # (len(y), len(d))
+    return pe.bpd.detect_normalized(streamed).T
+
+
+# ----------------------------------------------------------------------
+# Accelerator
+# ----------------------------------------------------------------------
+def forward(acc, x: np.ndarray, record: list | None = None) -> np.ndarray:
+    """One sample through the mapped network, tile by tile.
+
+    With ``record`` (a list), appends one ``(layer input, LDSU gains)``
+    pair per layer for :func:`backward`.
+    """
+    if acc.control.set_mode(OperatingMode.INFERENCE):
+        acc.counters.mode_switches += 1
+    value = np.asarray(x, dtype=np.float64)
+    for layer in acc.layers:
+        enc = RangeNormalizer.normalize(value)
+        logits_norm = np.zeros(layer.out_dim)
+        for r0, r1, c0, c1, pe_index in layer.tiles:
+            logits_norm[r0:r1] += pe_forward(acc.pes[pe_index], enc.values[c0:c1])
+            acc.counters.symbols += 1
+        if record is not None:
+            record.append(
+                (value.copy(), ldsu_gains(acc.pes[layer.tiles[0][4]], logits_norm))
+            )
+        logits = logits_norm * enc.scale * layer.weight_scale
+        if layer.apply_activation:
+            cell = acc.pes[layer.tiles[0][4]].activation
+            before = cell.firing_events
+            value = cell.fire(logits)
+            acc.counters.activation_events += cell.firing_events - before
+        else:
+            value = logits
+    return value
+
+
+def _gradient_vector(acc, k: int, delta_next: np.ndarray, gains: np.ndarray):
+    """delta_k from delta_{k+1} on PE k, reprogrammed with W_{k+1}^T."""
+    w_next = acc.layers[k + 1].weights
+    pe = acc.pes[acc.layers[k].tiles[0][4]]
+    w_norm = RangeNormalizer.normalize(w_next.T.ravel())
+    pe.program_weights(w_next.T / w_norm.scale)
+    acc.counters.bank_writes += 1
+    acc.counters.cells_written += w_next.size
+    if acc.control.set_mode(OperatingMode.GRADIENT_VECTOR):
+        acc.counters.mode_switches += 1
+    d_norm = RangeNormalizer.normalize(delta_next)
+    out = pe_gradient_vector(pe, d_norm.values, gains)
+    acc.counters.symbols += 1
+    return out * w_norm.scale * d_norm.scale
+
+
+def _outer_product(acc, k: int, delta: np.ndarray, y_prev: np.ndarray):
+    """dW_k = delta_k ⊗ y_{k-1} on PE k."""
+    pe = acc.pes[acc.layers[k].tiles[0][4]]
+    if acc.control.set_mode(OperatingMode.OUTER_PRODUCT):
+        acc.counters.mode_switches += 1
+    d_norm = RangeNormalizer.normalize(delta)
+    y_norm = RangeNormalizer.normalize(y_prev)
+    grad = pe_outer_product(pe, d_norm.values, y_norm.values)
+    acc.counters.bank_writes += 1
+    acc.counters.cells_written += y_prev.size * delta.size
+    acc.counters.symbols += delta.size
+    return grad * d_norm.scale * y_norm.scale
+
+
+def backward(acc, record: list, grad_logits: np.ndarray) -> list[np.ndarray]:
+    """One sample's photonic backward pass; returns per-layer gradients.
+
+    ``record`` is what :func:`forward` recorded for the sample.  A dead
+    path (every delta below :data:`GRAD_EPS`) stops the pass: the
+    upstream gradients are zero and nothing more is streamed.
+    """
+    layers = acc.layers
+    grads: list[np.ndarray] = [np.zeros(0)] * len(layers)
+    delta = np.asarray(grad_logits, dtype=np.float64)
+    for k in reversed(range(len(layers))):
+        grads[k] = _outer_product(acc, k, delta, record[k][0])
+        if k > 0:
+            delta = _gradient_vector(acc, k - 1, delta, record[k - 1][1])
+            if np.max(np.abs(delta)) < GRAD_EPS:
+                for j in range(k):
+                    grads[j] = np.zeros((layers[j].out_dim, layers[j].in_dim))
+                break
+    return grads
+
+
+def train_step(acc, lr: float, x_batch: np.ndarray, labels: np.ndarray) -> float:
+    """One SGD step, one sample at a time; returns the mean loss.
+
+    Between samples the forward weights are restored (a counted write);
+    gradients accumulate digitally and one update is programmed per batch.
+    """
+    layers = acc.layers
+    accum = [np.zeros((layer.out_dim, layer.in_dim)) for layer in layers]
+    total_loss = 0.0
+    for i, (x, label) in enumerate(zip(x_batch, labels)):
+        if i > 0:
+            acc.set_weights([layer.weights for layer in layers])
+        record: list = []
+        logits = forward(acc, x, record)
+        loss, grad = cross_entropy_loss(logits[None, :], np.array([label]))
+        total_loss += loss
+        for a, g in zip(accum, backward(acc, record, grad[0])):
+            a += g
+    batch = len(x_batch)
+    acc.set_weights(
+        [layer.weights - lr * a / batch for layer, a in zip(layers, accum)]
+    )
+    if acc.control.set_mode(OperatingMode.INFERENCE):
+        acc.counters.mode_switches += 1
+    return total_loss / batch

@@ -204,12 +204,10 @@ class TestAging:
 class TestNoiseAwareTraining:
     @pytest.fixture(scope="class")
     def task(self):
-        import numpy as np
-
-        from repro.nn.datasets import Dataset, make_blobs, standardize
+        from repro.nn.datasets import make_blobs, to_analog_range
 
         data = make_blobs(n_samples=300, n_features=10, n_classes=3, spread=2.0, seed=5)
-        data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+        data = to_analog_range(data)
         return data.split(0.8, seed=1)
 
     def _train(self, model, train, lr=0.4, epochs=8):

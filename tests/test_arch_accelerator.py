@@ -7,6 +7,7 @@ from repro.arch.accelerator import TridentAccelerator
 from repro.arch.config import TridentConfig
 from repro.devices.noise import NoiseModel
 from repro.errors import MappingError, ShapeError
+from tests import oracles
 
 
 def digital_gst_forward(weights, x):
@@ -125,9 +126,10 @@ class TestForward:
         acc.set_weights([rng.uniform(-1, 1, (6, 8)), rng.uniform(-1, 1, (4, 6))])
         x = rng.uniform(-1, 1, 8)
         acc.forward(x, record=True)
-        assert np.array_equal(acc.layers[0].last_input, x)
-        assert acc.layers[0].last_logits is not None
-        assert acc.layers[1].last_input is not None
+        # A recorded sample is a recorded batch of one.
+        assert np.array_equal(acc.layers[0].last_input_batch, x[None])
+        assert acc.layers[0].last_logits_batch.shape == (1, 6)
+        assert acc.layers[1].last_input_batch.shape == (1, 6)
 
     def test_forward_batch(self, rng):
         acc = TridentAccelerator()
@@ -223,13 +225,14 @@ class TestForwardBatchFast:
         acc.set_weights([rng.uniform(-1, 1, (14, 10)), rng.uniform(-1, 1, (3, 14))])
         xs = rng.uniform(-1, 1, (16, 10))
         fast = acc.forward_batch(xs)
-        slow = np.stack([acc.forward(row) for row in xs])
+        slow = np.stack([oracles.forward(acc, row) for row in xs])
         assert np.allclose(fast, slow, atol=1e-12)
+        # The per-sample entry point is the same kernel at B = 1.
+        assert np.array_equal(acc.forward(xs[3]), acc.forward_batch(xs[3:4])[0])
 
     def test_tiled_network_streams_blocked(self, rng):
         """A tiled network streams as blocked matmats, matching the
-        per-sample path output *and* counters exactly (the tentpole
-        parity guarantee — no per-sample fallback)."""
+        per-sample oracle's output *and* counters exactly."""
         acc = TridentAccelerator()
         acc.map_mlp([40, 24, 4])
         assert any(len(layer.tiles) > 1 for layer in acc.layers)
@@ -239,7 +242,7 @@ class TestForwardBatchFast:
         fast = acc.forward_batch(xs)
         delta_batch = acc.counters.diff(base)
         base = acc.counters.snapshot()
-        slow = np.stack([acc.forward(row) for row in xs])
+        slow = np.stack([oracles.forward(acc, row) for row in xs])
         delta_sample = acc.counters.diff(base)
         assert np.allclose(fast, slow, atol=1e-12)
         assert delta_batch.as_dict() == delta_sample.as_dict()

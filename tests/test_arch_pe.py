@@ -7,7 +7,8 @@ from repro.arch.pe import ProcessingElement
 from repro.arch.weight_bank import WeightBank
 from repro.devices.ldsu import LDSU
 from repro.devices.noise import NoiseModel
-from repro.errors import ShapeError
+from repro.errors import DeviceError, ShapeError
+from tests import oracles
 
 
 @pytest.fixture
@@ -39,12 +40,17 @@ class TestConstruction:
         assert pe.bpd.noise.enabled
 
 
+def one(v):
+    """A single sample as a one-column batch."""
+    return np.asarray(v, dtype=np.float64)[:, None]
+
+
 class TestForward:
     def test_matches_digital_gst_network(self, pe, rng):
         w = rng.uniform(-1, 1, (16, 16))
         x = rng.uniform(-1, 1, 16)
         pe.program_weights(w)
-        out = pe.forward(x)
+        out = pe.activation.fire(pe.forward_batch(one(x))[:, 0])
         expected = 0.34 * np.maximum(w @ x, 0)
         assert np.max(np.abs(out - expected)) < 0.1
 
@@ -52,25 +58,27 @@ class TestForward:
         w = rng.uniform(-1, 1, (8, 8))
         x = rng.uniform(-1, 1, 8)
         pe.program_weights(w)
-        logits = pe.forward(x, apply_activation=False)
+        logits = pe.forward_batch(one(x))[:, 0]
         assert np.max(np.abs(logits - w @ x)) < 0.05
+        assert pe.activation.firing_events == 0
 
     def test_ldsu_captures_derivative_bits(self, pe, rng):
         w = rng.uniform(-1, 1, (16, 16))
         x = rng.uniform(-1, 1, 16)
         pe.program_weights(w)
-        logits = pe.forward(x, apply_activation=False)
+        logits = pe.forward_batch(one(x))[:, 0]
         expected_bits = logits > 0
-        assert np.array_equal(pe.ldsu.bits, expected_bits)
+        assert np.array_equal(pe.ldsu.batch_bits[:, 0], expected_bits)
 
     def test_capture_can_be_disabled(self, pe, rng):
         pe.program_weights(rng.uniform(-1, 1, (16, 16)))
-        pe.forward(rng.uniform(-1, 1, 16), capture_derivative=False)
-        assert not pe.ldsu.bits.any()
+        pe.forward_batch(one(rng.uniform(-1, 1, 16)), capture_derivative=False)
+        with pytest.raises(DeviceError):
+            pe.ldsu.batch_bits
 
     def test_activation_firing_counted(self, pe, rng):
         pe.program_weights(rng.uniform(-1, 1, (16, 16)))
-        pe.forward(rng.uniform(-1, 1, 16))
+        pe.activation.fire(pe.forward_batch(one(rng.uniform(-1, 1, 16)))[:, 0])
         assert pe.activation.firing_events > 0
 
 
@@ -81,21 +89,21 @@ class TestGradientVector:
         w = rng.uniform(-1, 1, (n, n))
         x = rng.uniform(-1, 1, n)
         pe.program_weights(w)
-        h = pe.forward(x, apply_activation=False)
+        h = pe.forward_batch(one(x))[:, 0]
         # Backward with W_next^T programmed.
         w_next = rng.uniform(-1, 1, (n, n))
         pe.program_weights(w_next.T)
         delta = rng.uniform(-1, 1, n)
-        got = pe.gradient_vector(delta)
+        got = pe.gradient_vector_batch(one(delta))[:, 0]
         expected = (w_next.T @ delta) * np.where(h > 0, 0.34, 0.0)
         assert np.max(np.abs(got - expected)) < 0.1
 
     def test_dead_rows_zeroed(self, pe, rng):
         n = 8
         pe.program_weights(-np.ones((n, n)))  # all logits negative
-        pe.forward(np.ones(n) * 0.5, apply_activation=False)
+        pe.forward_batch(one(np.ones(n) * 0.5))
         pe.program_weights(rng.uniform(-1, 1, (n, n)))
-        out = pe.gradient_vector(rng.uniform(-1, 1, n))
+        out = pe.gradient_vector_batch(one(rng.uniform(-1, 1, n)))
         assert np.allclose(out, 0.0)
 
 
@@ -103,35 +111,42 @@ class TestOuterProduct:
     def test_matches_numpy_outer(self, pe, rng):
         d = rng.uniform(-1, 1, 10)
         y = rng.uniform(-1, 1, 12)
-        got = pe.outer_product(d, y)
+        got = pe.outer_product_batch(d[None], y[None])[0]
         assert got.shape == (10, 12)
         assert np.max(np.abs(got - np.outer(d, y))) < 0.05
 
     def test_full_bank(self, pe, rng):
         d = rng.uniform(-1, 1, 16)
         y = rng.uniform(-1, 1, 16)
-        got = pe.outer_product(d, y)
+        got = pe.outer_product_batch(d[None], y[None])[0]
         assert np.max(np.abs(got - np.outer(d, y))) < 0.05
 
     def test_rejects_oversize(self, pe, rng):
         with pytest.raises(ShapeError):
-            pe.outer_product(rng.uniform(-1, 1, 17), rng.uniform(-1, 1, 4))
+            pe.outer_product_batch(
+                rng.uniform(-1, 1, (1, 17)), rng.uniform(-1, 1, (1, 4))
+            )
         with pytest.raises(ShapeError):
-            pe.outer_product(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 17))
+            pe.outer_product_batch(
+                rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, (1, 17))
+            )
 
     def test_rejects_matrices(self, pe):
+        # Two deltas against one layer input: the batch sizes disagree.
         with pytest.raises(ShapeError):
-            pe.outer_product(np.zeros((2, 2)), np.zeros(2))
+            pe.outer_product_batch(np.zeros((2, 2)), np.zeros(2))
 
     def test_costs_one_write_and_len_delta_symbols(self, pe, rng):
-        d = rng.uniform(-1, 1, 6)
-        y = rng.uniform(-1, 1, 4)
-        pe.outer_product(d, y)
+        d = rng.uniform(-1, 1, (1, 6))
+        y = rng.uniform(-1, 1, (1, 4))
+        pe.outer_product_batch(d, y)
         assert pe.bank.stats.write_events == 1
         assert pe.bank.stats.symbols == 6
 
 
 class TestBatchedModes:
+    """Each batched mode against the per-sample oracle, column by column."""
+
     def test_forward_batch_matches_per_sample(self, rng):
         w = rng.uniform(-1, 1, (16, 16))
         xs = rng.uniform(-1, 1, (16, 5))
@@ -141,10 +156,9 @@ class TestBatchedModes:
         single_pe = ProcessingElement()
         single_pe.program_weights(w)
         expected = np.stack(
-            [single_pe.forward(xs[:, b], apply_activation=False) for b in range(5)],
-            axis=1,
+            [oracles.pe_forward(single_pe, xs[:, b]) for b in range(5)], axis=1
         )
-        assert np.allclose(got, expected)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         assert np.array_equal(batched_pe.ldsu.batch_bits, got > 0)
         # Same streamed-symbol cost as five per-sample passes.
         assert batched_pe.bank.stats.symbols == single_pe.bank.stats.symbols
@@ -165,9 +179,10 @@ class TestBatchedModes:
         for b in range(B):
             pe_s = ProcessingElement()
             pe_s.program_weights(w)
-            pe_s.forward(x_cols[:, b], apply_activation=False)
+            gains = oracles.ldsu_gains(pe_s, oracles.pe_forward(pe_s, x_cols[:, b]))
             pe_s.program_weights(w_next.T)
-            assert np.allclose(got[:, b], pe_s.gradient_vector(deltas[:, b]))
+            expected = oracles.pe_gradient_vector(pe_s, deltas[:, b], gains)
+            np.testing.assert_allclose(got[:, b], expected, rtol=0, atol=1e-12)
 
     def test_outer_product_batch_matches_per_sample(self, rng):
         B, d, y = 3, 6, 4
@@ -176,16 +191,19 @@ class TestBatchedModes:
         pe_b = ProcessingElement()
         got = pe_b.outer_product_batch(deltas, ys)
         assert got.shape == (B, d, y)
+        pe_s = ProcessingElement()
         for b in range(B):
-            pe_s = ProcessingElement()
-            assert np.allclose(got[b], pe_s.outer_product(deltas[b], ys[b]))
+            expected = oracles.pe_outer_product(pe_s, deltas[b], ys[b])
+            np.testing.assert_allclose(got[b], expected, rtol=0, atol=1e-12)
+        # Program-then-stream per sample costs exactly what the batch charged.
+        assert pe_b.bank.stats == pe_s.bank.stats
 
     def test_outer_product_batch_charges_per_sample_costs(self, rng):
         B, d, y = 5, 6, 4
         pe = ProcessingElement()
         pe.outer_product_batch(rng.uniform(-1, 1, (B, d)), rng.uniform(-1, 1, (B, y)))
         # B programming events of y*d cells and B*d symbols — exactly what
-        # B sequential outer_product calls would charge.
+        # B sequential program-then-stream outer products would charge.
         assert pe.bank.stats.write_events == B
         assert pe.bank.stats.cells_written == B * d * y
         assert pe.bank.stats.symbols == B * d

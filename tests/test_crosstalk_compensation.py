@@ -57,11 +57,11 @@ class TestEndToEnd:
 
         naive = WeightBank(rows=8, cols=8, crosstalk=crosstalk)
         naive.program(w)
-        naive_err = np.max(np.abs(naive.matvec(x) - w @ x))
+        naive_err = np.max(np.abs(naive.matmat(x[:, None])[:, 0] - w @ x))
 
         comp = WeightBank(rows=8, cols=8, crosstalk=crosstalk)
         comp.program(compensate_crosstalk(w, crosstalk))
-        comp_err = np.max(np.abs(comp.matvec(x) - w @ x))
+        comp_err = np.max(np.abs(comp.matmat(x[:, None])[:, 0] - w @ x))
 
         assert comp_err < naive_err / 3
         # Compensated error is quantization-floor scale.
@@ -70,14 +70,14 @@ class TestEndToEnd:
     def test_compensation_restores_classifier_accuracy(self, rng):
         """A trained network deployed onto a leaky WDM bank: uncompensated
         crosstalk costs accuracy; calibration recovers it."""
-        from repro.nn.datasets import Dataset, make_blobs, standardize
+        from repro.nn.datasets import make_blobs, to_analog_range
         from repro.nn.reference import DigitalMLP
 
         plan = WDMChannelPlan(10)
         c10 = physical_crosstalk_matrix(plan)
         dims = [10, 14, 3]
         data = make_blobs(n_samples=300, n_features=10, n_classes=3, spread=2.0, seed=5)
-        data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+        data = to_analog_range(data)
         train, test = data.split(0.8, seed=1)
         mlp = DigitalMLP(dims, activation="gst", seed=7)
         for epoch in range(8):

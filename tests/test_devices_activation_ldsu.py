@@ -138,37 +138,39 @@ class TestDFlipFlop:
 class TestLDSU:
     def test_capture_stores_bits(self):
         ldsu = LDSU(n_rows=4)
-        bits = ldsu.capture(np.array([1.0, -1.0, 0.5, 0.0]))
-        assert list(bits) == [True, False, True, False]
+        bits = ldsu.capture_batch(np.array([[1.0], [-1.0], [0.5], [0.0]]))
+        assert list(bits[:, 0]) == [True, False, True, False]
 
     def test_derivative_gains_match_paper(self):
         ldsu = LDSU(n_rows=3)
-        ldsu.capture(np.array([2.0, -2.0, 1.0]))
-        assert np.allclose(ldsu.derivative_gains(), [0.34, 0.0, 0.34])
+        ldsu.capture_batch(np.array([[2.0], [-2.0], [1.0]]))
+        assert np.allclose(ldsu.derivative_gains_batch()[:, 0], [0.34, 0.0, 0.34])
 
     def test_capture_rejects_wrong_shape(self):
         ldsu = LDSU(n_rows=4)
         with pytest.raises(DeviceError):
-            ldsu.capture(np.zeros(3))
+            ldsu.capture_batch(np.zeros((3, 1)))
 
     def test_clear(self):
         ldsu = LDSU(n_rows=2)
-        ldsu.capture(np.array([1.0, 1.0]))
+        ldsu.capture_batch(np.array([[1.0], [1.0]]))
         ldsu.clear()
-        assert not ldsu.bits.any()
+        with pytest.raises(DeviceError):
+            ldsu.derivative_gains_batch()
 
     def test_bits_returns_copy(self):
         ldsu = LDSU(n_rows=2)
-        ldsu.capture(np.array([1.0, 1.0]))
-        external = ldsu.bits
+        ldsu.capture_batch(np.array([[1.0], [1.0]]))
+        external = ldsu.batch_bits
         external[:] = False
-        assert ldsu.bits.all()
+        assert ldsu.batch_bits.all()
 
     def test_one_bit_per_row_is_enough(self):
         """The paper's point: the GST activation has exactly two derivative
         values so the LDSU needs only 1 bit/row."""
         ldsu = LDSU(n_rows=8)
-        gains = ldsu.derivative_gains()
+        ldsu.capture_batch(np.random.default_rng(0).normal(size=(8, 5)))
+        gains = ldsu.derivative_gains_batch()
         assert set(np.unique(gains)) <= {0.0, 0.34}
 
     def test_rejects_bad_rows(self):
@@ -186,10 +188,9 @@ class TestLDSUBatch:
         plane = ldsu.capture_batch(logits)
         for b in range(2):
             single = LDSU(n_rows=3)
-            assert np.array_equal(single.capture(logits[:, b]), plane[:, b])
-        # Flip-flops end up holding the final column, exactly as a
-        # per-sample sweep would leave them.
-        assert np.array_equal(ldsu.bits, plane[:, -1])
+            assert np.array_equal(
+                single.capture_batch(logits[:, b : b + 1])[:, 0], plane[:, b]
+            )
 
     def test_derivative_gains_batch(self):
         ldsu = LDSU(n_rows=2)

@@ -11,7 +11,7 @@ import pytest
 from repro import TridentAccelerator
 from repro.arch.weight_bank import WeightBank
 from repro.errors import ProgrammingError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 
 
@@ -102,7 +102,7 @@ class TestGracefulDegradation:
     @pytest.fixture(scope="class")
     def task(self):
         data = make_blobs(n_samples=300, n_features=10, n_classes=3, spread=1.2, seed=5)
-        data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+        data = to_analog_range(data)
         train, test = data.split(0.8, seed=1)
         mlp = DigitalMLP([10, 14, 3], activation="gst", seed=7)
         for epoch in range(8):

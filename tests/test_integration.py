@@ -11,7 +11,7 @@ from repro.dataflow.cost_model import PhotonicArch, PhotonicCostModel
 from repro.eval.figures import fig4_photonic_energy, fig6_inferences_per_second
 from repro.eval.tables import table3_power, table5_training
 from repro.nn import build_model
-from repro.nn.datasets import Dataset, make_teacher, standardize
+from repro.nn.datasets import make_teacher, to_analog_range
 from repro.nn.quantization import quantize_tensor
 from repro.nn.reference import DigitalMLP
 from repro.training.trainer import train_classifier
@@ -68,7 +68,7 @@ class TestInSituVsOfflineMismatch:
     @pytest.fixture(scope="class")
     def task(self):
         data = make_teacher(n_samples=400, n_features=10, n_classes=3, seed=5)
-        data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+        data = to_analog_range(data)
         return data.split(0.8, seed=1)
 
     def _hw(self, dims, weights, noise):
@@ -109,7 +109,7 @@ class TestQuantizationResolutionStory:
 
     def test_8bit_weights_preserve_accuracy_6bit_degrade_more(self):
         data = make_teacher(n_samples=300, n_features=8, n_classes=3, seed=3)
-        data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+        data = to_analog_range(data)
         train, test = data.split(0.8, seed=2)
         mlp = DigitalMLP([8, 12, 3], activation="gst", seed=4)
         for epoch in range(10):

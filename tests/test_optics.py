@@ -122,7 +122,7 @@ class TestPhysicalWeightBank:
         normalized.program(w)
         x = rng.uniform(0, 1, 8)
         out = bank.forward(x)
-        assert np.max(np.abs(out.normalized - normalized.matvec(x))) < 1e-6
+        assert np.max(np.abs(out.normalized - normalized.matmat(x[:, None])[:, 0])) < 1e-6
 
     def test_expected_matches_forward_without_noise(self, bank, rng):
         w = rng.uniform(-1, 1, (8, 8))

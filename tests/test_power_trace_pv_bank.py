@@ -119,7 +119,7 @@ class TestProgramWithVerify:
         bank = WeightBank()
         realized, _ = program_with_verify(bank, w, ProgramVerifyWriter(seed=3))
         x = rng.uniform(-1, 1, 8)
-        assert np.allclose(bank.matvec(x), realized @ x)
+        assert np.allclose(bank.matmat(x[:, None])[:, 0], realized @ x)
 
     def test_noiseless_writer_equals_plain_program(self, rng):
         w = rng.uniform(-1, 1, (8, 8))

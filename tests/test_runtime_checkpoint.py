@@ -189,6 +189,33 @@ class TestAcceleratorStateDict:
             assert a.train_step(xb, yb) == b.train_step(xb, yb)
         assert acc.counters.as_dict() == twin.counters.as_dict()
 
+    def test_snapshot_with_retired_per_sample_keys_loads(self):
+        """Snapshots written before the per-sample path was folded into the
+        batched one carry ``last_input`` / ``last_logits`` per layer and an
+        LDSU ``bits`` vector.  They still load, and the restored chip then
+        runs forward_batch and train_step bit-for-bit like the original."""
+        acc = _built_acc(seed=21)
+        data = make_blobs(n_samples=24, n_features=6, n_classes=3, seed=4)
+        trainer = InSituTrainer(acc, lr=0.05)
+        trainer.train_step(data.x[:8], data.y[:8])
+        state = acc.state_dict()
+        for layer in state["layers"]:
+            layer["last_input"] = np.full(layer["in_dim"], 0.25)
+            layer["last_logits"] = np.full(layer["out_dim"], -0.5)
+        for pe in state["pes"]:
+            pe["ldsu"]["bits"] = np.ones(acc.config.bank_rows, dtype=bool)
+        twin = _built_acc(seed=22)
+        twin.load_state_dict(decode_state(encode_state(state)))
+
+        xs = data.x[8:12]
+        assert np.array_equal(acc.forward_batch(xs), twin.forward_batch(xs))
+        twin_trainer = InSituTrainer(twin, lr=0.05)
+        xb, yb = data.x[12:20], data.y[12:20]
+        assert trainer.train_step(xb, yb) == twin_trainer.train_step(xb, yb)
+        for w_a, w_b in zip(trainer.weights, twin_trainer.weights):
+            assert np.array_equal(w_a, w_b)
+        assert acc.counters.as_dict() == twin.counters.as_dict()
+
     def test_survives_disk_round_trip(self, tmp_path):
         acc = _built_acc(seed=9)
         path = tmp_path / "acc.ckpt"

@@ -6,7 +6,7 @@ import pytest
 from repro import TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import CheckpointError, ConfigError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.runtime import ResilienceConfig, ResilientTrainer
 from repro.training.insitu import InSituTrainer
 
@@ -36,7 +36,7 @@ def _trainer(seed=11, lr=0.05):
 @pytest.fixture
 def data():
     raw = make_blobs(n_samples=40, n_features=6, n_classes=3, seed=1)
-    return Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
+    return to_analog_range(raw)
 
 
 RCFG = ResilienceConfig(checkpoint_every=3, max_retries=2)

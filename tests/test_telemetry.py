@@ -23,7 +23,7 @@ from repro.arch import Profiler, TridentAccelerator, TridentConfig
 from repro.devices.program_verify import ProgramVerifyConfig
 from repro.errors import ConfigError
 from repro.faults import FaultManager, RepairConfig
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.runtime import ResilienceConfig, ResilientTrainer
 from repro.telemetry.metrics import NULL_INSTRUMENT
 from repro.telemetry.session import NULL_METRICS
@@ -342,6 +342,16 @@ class TestSession:
         assert samples["repro_forward_batches_total"] == 1
         assert samples["repro_forward_samples_total"] == 4
 
+    def test_per_sample_forward_is_a_batch_of_one(self):
+        acc = small_accelerator()
+        with telemetry.session() as t:
+            acc.forward(np.zeros(6))
+        spans = [r for r in t.tracer.records if r.name == "forward_batch"]
+        assert [span.attrs["batch"] for span in spans] == [1]
+        samples = telemetry.parse_prometheus_text(t.metrics.to_prometheus())
+        assert samples["repro_forward_batches_total"] == 1
+        assert samples["repro_forward_samples_total"] == 1
+
     def test_train_step_feeds_session(self):
         acc = small_accelerator()
         trainer = InSituTrainer(acc, lr=0.05)
@@ -467,7 +477,7 @@ def training_workload(with_faults=True):
         manager.deploy([layer.weights.copy() for layer in acc.layers])
     trainer = InSituTrainer(acc, lr=0.05)
     raw = make_blobs(n_samples=48, n_features=6, n_classes=3, seed=5)
-    data = Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
+    data = to_analog_range(raw)
     losses = [
         float(trainer.train_step(data.x[i * 8 : (i + 1) * 8],
                                  data.y[i * 8 : (i + 1) * 8]))
@@ -510,7 +520,7 @@ class TestNonPerturbation:
                 config=ResilienceConfig(checkpoint_every=2),
             )
             raw = make_blobs(n_samples=40, n_features=6, n_classes=3, seed=9)
-            data = Dataset(x=np.clip(standardize(raw.x) / 3, -1, 1), y=raw.y)
+            data = to_analog_range(raw)
             if telemetry_on:
                 with telemetry.session():
                     report = trainer.run(

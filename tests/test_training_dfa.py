@@ -6,11 +6,11 @@ import pytest
 from repro import TridentAccelerator
 from repro.arch.config import TridentConfig
 from repro.errors import MappingError, ShapeError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP
 from repro.training.dfa import DFATrainer, DigitalDFA
-from repro.training.insitu import InSituTrainer
 from repro.training.trainer import train_classifier
+from tests import oracles
 
 DIMS = [8, 12, 3]
 
@@ -18,7 +18,7 @@ DIMS = [8, 12, 3]
 @pytest.fixture
 def task():
     data = make_blobs(n_samples=240, n_features=8, n_classes=3, spread=0.8, seed=1)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     return data.split(0.8, seed=0)
 
 
@@ -104,16 +104,16 @@ class TestDFATraining:
     def test_dedicated_feedback_saves_bank_writes(self, task):
         """DFA's hardware advantage: resident feedback matrices mean the
         backward projection costs no retuning.  The fair comparison is the
-        per-sample streaming schedule DFA itself runs — backprop's batched
-        schedule already amortizes the W^T reprogram digitally."""
+        one-sample-at-a-time schedule DFA itself runs (the per-sample
+        backprop oracle) — backprop's batched schedule already amortizes
+        the W^T reprogram digitally."""
         train, _ = task
         acc_dfa = make_accelerator()
         dfa = DFATrainer(acc_dfa, lr=0.3, seed=4)
         acc_bp = make_accelerator()
-        bp = InSituTrainer(acc_bp, lr=0.3)
         for xb, yb in train.batches(16, seed=0):
             dfa.train_step(xb, yb)
-            bp.train_step_streaming(xb, yb)
+            oracles.train_step(acc_bp, 0.3, xb, yb)
         assert acc_dfa.counters.bank_writes < acc_bp.counters.bank_writes
         # The feedback bank itself was written exactly once.
         assert dfa.feedback_writes == 1

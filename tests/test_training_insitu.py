@@ -6,9 +6,10 @@ import pytest
 from repro.arch.accelerator import TridentAccelerator
 from repro.devices.noise import NoiseModel
 from repro.errors import MappingError, ShapeError
-from repro.nn.datasets import Dataset, make_blobs, standardize
+from repro.nn.datasets import make_blobs, to_analog_range
 from repro.nn.reference import DigitalMLP, cross_entropy_loss
 from repro.training.insitu import InSituTrainer
+from tests import oracles
 
 
 def make_accelerator(dims, seed=0, noise=None):
@@ -22,7 +23,7 @@ def make_accelerator(dims, seed=0, noise=None):
 @pytest.fixture
 def blob_data():
     data = make_blobs(n_samples=240, n_features=8, n_classes=3, spread=0.7, seed=1)
-    data = Dataset(x=np.clip(standardize(data.x) / 3, -1, 1), y=data.y)
+    data = to_analog_range(data)
     return data.split(0.8, seed=0)
 
 
@@ -56,7 +57,7 @@ class TestGradientFidelity:
 
         logits_hw = acc.forward(x, record=True)
         _, grad = cross_entropy_loss(logits_hw[None, :], np.array([label]))
-        grads_hw = trainer.backward_sample(grad[0])
+        grads_hw = trainer.backward_batch(grad)
 
         grads_ref = mlp.gradients(x[None, :], grad).weights
         for g_hw, g_ref in zip(grads_hw, grads_ref):
@@ -66,15 +67,16 @@ class TestGradientFidelity:
     def test_backward_requires_recorded_forward(self):
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
+        acc.forward(np.zeros(8))  # not recorded
         with pytest.raises(MappingError):
-            trainer.backward_sample(np.zeros(4))
+            trainer.backward_batch(np.zeros((1, 4)))
 
     def test_backward_shape_checked(self):
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
         acc.forward(np.zeros(8), record=True)
         with pytest.raises(ShapeError):
-            trainer.backward_sample(np.zeros(5))
+            trainer.backward_batch(np.zeros((1, 5)))
 
 
 class TestTrainStep:
@@ -168,23 +170,22 @@ class TestEndToEnd:
 
 
 class TestBatchedMatchesStreaming:
-    """The batched schedule must reproduce the per-sample reference exactly
-    on noise-free hardware — same losses, same updated weights."""
+    """The batched schedule must reproduce the per-sample oracle on
+    noise-free hardware — same losses, same updated weights."""
 
     def test_identical_losses_and_weights(self, blob_data):
         train, _ = blob_data
         acc_b, _ = make_accelerator([8, 12, 3], seed=2)
         acc_s, _ = make_accelerator([8, 12, 3], seed=2)
         batched = InSituTrainer(acc_b, lr=0.3)
-        streaming = InSituTrainer(acc_s, lr=0.3)
         for start in (0, 16, 32):
             xb = train.x[start : start + 16]
             yb = train.y[start : start + 16]
             loss_b = batched.train_step(xb, yb)
-            loss_s = streaming.train_step_streaming(xb, yb)
+            loss_s = oracles.train_step(acc_s, 0.3, xb, yb)
             assert np.isclose(loss_b, loss_s, rtol=0, atol=1e-12)
-        for w_b, w_s in zip(batched.weights, streaming.weights):
-            np.testing.assert_allclose(w_b, w_s, rtol=0, atol=1e-12)
+        for w_b, layer in zip(batched.weights, acc_s.layers):
+            np.testing.assert_allclose(w_b, layer.weights, rtol=0, atol=1e-12)
 
     def test_backward_batch_matches_accumulated_samples(self, blob_data):
         train, _ = blob_data
@@ -199,19 +200,20 @@ class TestBatchedMatchesStreaming:
 
         accum = [np.zeros((l.out_dim, l.in_dim)) for l in acc.layers]
         for x, label in zip(xb, yb):
-            # The previous backward pass (batched or per-sample) left W^T in
-            # the banks — restore forward weights before every sample.
+            # The previous backward pass left W^T in the banks — restore
+            # forward weights before every sample.
             acc.set_weights([layer.weights for layer in acc.layers])
-            lg = acc.forward(x, record=True)
+            record = []
+            lg = oracles.forward(acc, x, record)
             _, g = cross_entropy_loss(lg[None, :], np.array([label]))
-            for a, gr in zip(accum, trainer.backward_sample(g[0])):
+            for a, gr in zip(accum, oracles.backward(acc, record, g[0])):
                 a += gr
         for g_b, g_s in zip(grads_batch, accum):
             np.testing.assert_allclose(g_b, g_s, rtol=0, atol=1e-10)
 
     def test_dead_path_accounting_parity(self):
         """A sample whose hidden layer never fires dies after one
-        gradient-vector hop.  The per-sample schedule skips its upstream
+        gradient-vector hop.  The per-sample oracle skips its upstream
         outer product; the batched engine must compact the dead column
         out and charge exactly the same symbols — not stream a zero
         vector the control unit already knows is dead."""
@@ -229,23 +231,25 @@ class TestBatchedMatchesStreaming:
             acc = TridentAccelerator()
             acc.map_mlp(dims)
             acc.set_weights([w.copy() for w in weights])
-            return acc, InSituTrainer(acc, lr=0.1)
+            return acc
 
-        acc_b, batched = fresh()
+        acc_b = fresh()
+        batched = InSituTrainer(acc_b, lr=0.1)
         logits = acc_b.forward_batch(xb, record=True)
         _, grad = cross_entropy_loss(logits, yb)
         before = acc_b.counters.symbols
         grads_batch = batched.backward_batch(grad * B)
         symbols_batch = acc_b.counters.symbols - before
 
-        acc_s, streaming = fresh()
+        acc_s = fresh()
         symbols_sample = 0
         accum = [np.zeros((l.out_dim, l.in_dim)) for l in acc_s.layers]
         for x, g in zip(xb, grad * B):
             acc_s.set_weights([layer.weights for layer in acc_s.layers])
-            acc_s.forward(x, record=True)
+            record = []
+            oracles.forward(acc_s, x, record)
             before = acc_s.counters.symbols
-            for a, gr in zip(accum, streaming.backward_sample(g)):
+            for a, gr in zip(accum, oracles.backward(acc_s, record, g)):
                 a += gr
             symbols_sample += acc_s.counters.symbols - before
 
@@ -259,7 +263,6 @@ class TestBatchedMatchesStreaming:
     def test_backward_batch_requires_recorded_forward_batch(self):
         acc, _ = make_accelerator([8, 4])
         trainer = InSituTrainer(acc)
-        acc.forward(np.zeros(8), record=True)  # per-sample record only
         with pytest.raises(MappingError):
             trainer.backward_batch(np.zeros((1, 4)))
 
@@ -272,22 +275,6 @@ class TestBatchedMatchesStreaming:
 
 
 class TestWriteCostLaw:
-    def test_streaming_bank_writes_follow_closed_form(self, blob_data):
-        """The per-sample schedule's write count obeys the analytical law
-        the latency model charges: per batch of B samples on an L-layer
-        MLP, (B-1)*L weight restores + B*(L outer products + (L-1)
-        gradient programs) + L update reprograms."""
-        train, _ = blob_data
-        for B in (1, 4, 9):
-            acc, _ = make_accelerator([8, 12, 3], seed=2)
-            trainer = InSituTrainer(acc, lr=0.1)
-            L = len(acc.layers)
-            base = acc.counters.bank_writes
-            trainer.train_step_streaming(train.x[:B], train.y[:B])
-            got = acc.counters.bank_writes - base
-            predicted = (B - 1) * L + B * (L + (L - 1)) + L
-            assert got == predicted, (B, got, predicted)
-
     def test_batched_bank_writes_follow_closed_form(self, blob_data):
         """Grouped reprogramming is *the* saving of the batched schedule:
         B*L per-sample outer-product programs survive, but the W^T
@@ -307,17 +294,16 @@ class TestWriteCostLaw:
     def test_symbols_follow_closed_form(self, blob_data):
         """Symbols per batch: B forward symbols per layer + B gradient
         symbols per hidden layer + B outer-product streams (one symbol per
-        delta element).  Batching saves writes, not symbols — both
-        schedules stream exactly the same vectors through the banks."""
+        delta element).  Batching saves writes, not symbols — the batch
+        streams exactly the vectors B one-sample passes would."""
         train, _ = blob_data
         B = 5
         # forward: 2 layers -> 2B; gradient: 1 hidden -> B;
         # outer: layer1 streams len(delta1)=3, layer0 streams len(delta0)=12.
         predicted = 2 * B + B + B * (3 + 12)
-        for step in ("train_step", "train_step_streaming"):
-            acc, _ = make_accelerator([8, 12, 3], seed=2)
-            trainer = InSituTrainer(acc, lr=0.1)
-            base = acc.counters.symbols
-            getattr(trainer, step)(train.x[:B], train.y[:B])
-            got = acc.counters.symbols - base
-            assert got == predicted, (step, got, predicted)
+        acc, _ = make_accelerator([8, 12, 3], seed=2)
+        trainer = InSituTrainer(acc, lr=0.1)
+        base = acc.counters.symbols
+        trainer.train_step(train.x[:B], train.y[:B])
+        got = acc.counters.symbols - base
+        assert got == predicted, (got, predicted)
