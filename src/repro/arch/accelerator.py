@@ -240,18 +240,28 @@ class TridentAccelerator:
                 f"got {len(weight_scales)} weight scales for "
                 f"{len(self.layers)} layers"
             )
-        for k, (layer, w) in enumerate(zip(self.layers, weights)):
-            scale = None if weight_scales is None else weight_scales[k]
-            self._program_layer(
-                layer, np.asarray(w, dtype=np.float64), scale_override=scale
+        # Validate every matrix before storing any, so a rejected call
+        # leaves the previous deployment intact.
+        checked = [
+            self._checked_weights(
+                layer,
+                np.asarray(w, dtype=np.float64),
+                None if weight_scales is None else weight_scales[k],
             )
+            for k, (layer, w) in enumerate(zip(self.layers, weights))
+        ]
+        for layer, (w, scale) in zip(self.layers, checked):
+            layer.weights = w
+            layer.weight_scale = scale
+        self.reprogram_all()
 
-    def _program_layer(
-        self,
+    @staticmethod
+    def _checked_weights(
         layer: MappedLayer,
         weights: np.ndarray,
         scale_override: "float | None" = None,
-    ) -> None:
+    ) -> tuple[np.ndarray, float]:
+        """(weight copy, analog scale) for ``layer``, or raise."""
         if weights.shape != (layer.out_dim, layer.in_dim):
             raise ShapeError(
                 f"layer {layer.index} expects weights "
@@ -270,10 +280,18 @@ class TridentAccelerator:
                     "levels would clip out of the analog range"
                 )
             scale = float(scale_override)
-        layer.weights = weights.copy()
-        layer.weight_scale = scale
-        for tile_index in range(len(layer.tiles)):
-            self.reprogram_tile(layer.index, tile_index)
+        return weights.copy(), scale
+
+    def reprogram_all(self) -> None:
+        """(Re)write every mapped tile from its layer's weight shadow.
+
+        Layer-major, then tile order — the one write sequence used for
+        deployment, refresh, scrub and post-injection readback, so RNG
+        draws and write counters line up wherever it runs.
+        """
+        for layer in self.layers:
+            for tile_index in range(len(layer.tiles)):
+                self.reprogram_tile(layer.index, tile_index)
 
     def reprogram_tile(
         self, layer_index: int, tile_index: int, writer=None

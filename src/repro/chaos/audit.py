@@ -78,31 +78,15 @@ class AuditResult:
 # ---------------------------------------------------------------------------
 # Accounting baselines (captured before the run, diffed after)
 # ---------------------------------------------------------------------------
-def _worker_accelerators(worker):
-    if hasattr(worker, "acc"):
-        yield worker.acc
-    for runtime in getattr(worker, "stages", ()):
-        yield from runtime.stage.parts
-
-
-def _worker_managers(worker):
-    if getattr(worker, "manager", None) is not None:
-        yield worker.manager
-    for runtime in getattr(worker, "stages", ()):
-        for manager in runtime.managers:
-            if manager is not None:
-                yield manager
-
-
 def capture_accounting(workers) -> dict:
     """Snapshot repair/energy tallies before a run (see :func:`audit_serve_run`)."""
     bank_writes = 0
     repairs = 0
     refreshes = 0
     for worker in workers:
-        for acc in _worker_accelerators(worker):
+        for acc in worker.accelerators:
             bank_writes += int(acc.counters.bank_writes)
-        for manager in _worker_managers(worker):
+        for manager in worker.managers:
             log = manager.log
             repairs += int(log.retries + log.row_remaps + log.migrations)
             refreshes += int(log.refreshes)
@@ -195,9 +179,8 @@ def _check_repairs_charged(result, workers, pre: dict) -> None:
 
 def _worker_checkers(workers):
     for worker in workers:
-        checker = getattr(worker, "integrity", None)
-        if checker is not None:
-            yield worker, checker
+        if worker.integrity is not None:
+            yield worker, worker.integrity
 
 
 def _check_integrity(result, workers, session) -> None:

@@ -398,8 +398,6 @@ class FaultManager:
         )
         if not health.needs_refresh:
             return False
-        for layer in self.acc.layers:
-            for tile_index in range(len(layer.tiles)):
-                self.acc.reprogram_tile(layer.index, tile_index)
+        self.acc.reprogram_all()
         self.log.refreshes += 1
         return True

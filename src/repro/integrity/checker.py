@@ -190,15 +190,14 @@ def attest_batch(
     *,
     worker_id: int,
     now_s: float,
-    manager=None,
+    managers=(),
 ) -> np.ndarray:
     """Run the escalation ladder over one executed batch.
 
     Returns the attested outputs (the re-executed batch when rung 2
-    recovered) or raises :class:`~repro.errors.IntegrityFault`.  The
-    ``manager`` (or, for sharded workers, an iterable of managers) gets
-    escalations charged to its repair log so worker health reflects SDC
-    history.
+    recovered) or raises :class:`~repro.errors.IntegrityFault`.  Every
+    fault manager in ``managers`` gets escalations charged to its repair
+    log so worker health reflects SDC history.
     """
     counters = checker.counters
     with telemetry.trace_span("integrity_check", worker=worker_id):
@@ -260,10 +259,8 @@ def attest_batch(
                 "violations": detail,
             }
         )
-        managers = manager if isinstance(manager, (list, tuple)) else [manager]
-        for m in managers:
-            if m is not None:
-                m.note_sdc()
+        for manager in managers:
+            manager.note_sdc()
         raise IntegrityFault(
             f"worker {worker_id}: batch failed ABFT attestation after "
             f"re-execution and digital cross-check "

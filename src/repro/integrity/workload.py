@@ -239,6 +239,8 @@ def smoke_checks(
     config: IntegrityWorkloadConfig | None = None,
 ) -> list[tuple[str, bool]]:
     """The ``repro integrity --smoke`` pass/fail list."""
+    from repro.serving.breaker import trip_and_restore
+
     config = config or IntegrityWorkloadConfig()
     checks: list[tuple[str, bool]] = []
 
@@ -326,25 +328,11 @@ def smoke_checks(
             esc_counters.get("escalated", 0) > 0,
         )
     )
-    transitions = [
-        (t.get("worker"), t["to"], t["reason"])
-        for t in esc.report.breaker_transitions
-    ]
-    checks.append(
-        (
-            "escalations tripped the worker breaker",
-            any(w == 0 and to == "open" for w, to, _ in transitions),
-        )
+    tripped, restored = trip_and_restore(
+        esc.report.breaker_transitions, worker=0
     )
-    checks.append(
-        (
-            "quarantined worker scrubbed and restored",
-            any(
-                w == 0 and to == "closed" and reason == "probe_succeeded"
-                for w, to, reason in transitions
-            ),
-        )
-    )
+    checks.append(("escalations tripped the worker breaker", tripped))
+    checks.append(("quarantined worker scrubbed and restored", restored))
     end = max(
         (record["t"] for record in esc.report.decisions), default=0.0
     )

@@ -119,3 +119,22 @@ class CircuitBreaker:
         """Open immediately on an out-of-band health signal."""
         if self.state is not BreakerState.OPEN:
             self._transition(now_s, BreakerState.OPEN, reason)
+
+
+def trip_and_restore(transitions, **match) -> tuple[bool, bool]:
+    """(tripped, restored) over breaker transition records.
+
+    Tripped: some breaker opened.  Restored: some breaker closed again
+    through a successful half-open probe.  ``match`` keeps only records
+    whose fields equal the given values (e.g. ``worker=0``, ``stage=1``).
+    """
+    records = [
+        t for t in transitions
+        if all(t.get(key) == value for key, value in match.items())
+    ]
+    tripped = any(t["to"] == "open" for t in records)
+    restored = any(
+        t["to"] == "closed" and t["reason"] == "probe_succeeded"
+        for t in records
+    )
+    return tripped, restored

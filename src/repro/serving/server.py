@@ -750,7 +750,7 @@ class TridentServer:
         xs = np.stack([r.x for r in batch])
         with _trace_span(
             "serve_batch",
-            accelerator=getattr(worker, "acc", None),
+            accelerator=worker.acc,
             worker=worker.worker_id,
             batch=len(batch),
         ):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError, ServingError
+from repro.serving.breaker import trip_and_restore
 from repro.serving.request import InferenceRequest, ShedReason
 from repro.serving.server import ServeReport, ServerConfig, TridentServer
 from repro.serving.sharded import ShardedWorker, build_sharded_worker
@@ -206,7 +207,7 @@ def run_shard_workload(
         stage = config.degrade_stage
 
         def force_stage_degradation(srv: TridentServer) -> None:
-            srv.workers[0].degrade_stage(stage, fraction, stuck_level=254)
+            srv.workers[0].degrade(fraction, stuck_level=254, stage=stage)
 
         server.schedule_action(
             config.degrade_at_s, "degrade_stage", force_stage_degradation
@@ -295,21 +296,9 @@ def shard_smoke_checks(
     overlap_makespan = makespan_s(overlap_report)
     serial_makespan = makespan_s(serial_report)
 
-    transitions = [
-        (t["to"], t["reason"]) for t in fault_report.breaker_transitions
-    ]
-    tripped = any(to == "open" for to, _ in transitions)
-    restored = any(
-        to == "closed" and reason == "probe_succeeded"
-        for to, reason in transitions
-    )
-    stage_tripped = any(
-        t["to"] == "open" and t["stage"] == config.degrade_stage
-        for t in fault_worker.stage_breaker_transitions
-    )
-    stage_restored = any(
-        t["to"] == "closed" and t["stage"] == config.degrade_stage
-        for t in fault_worker.stage_breaker_transitions
+    tripped, restored = trip_and_restore(fault_report.breaker_transitions)
+    stage_tripped, stage_restored = trip_and_restore(
+        fault_worker.stage_breaker_transitions, stage=config.degrade_stage
     )
     reasons_ok = all(
         isinstance(r.reason, ShedReason) and r.detail

@@ -1,11 +1,10 @@
 """Serving one sharded model: a pipeline of accelerators as one worker.
 
-A :class:`ShardedWorker` wraps a :class:`~repro.sharding.ShardedPipeline`
-behind the same duck-typed surface :class:`~repro.serving.worker.
-AcceleratorWorker` gives the server — ``service_time_s`` /
-``dispatch_times_s``, health, ``execute``, ``repair`` — so
+A :class:`ShardedWorker` is an :class:`~repro.serving.worker.
+AcceleratorWorker` over a :class:`~repro.sharding.ShardedPipeline`, so
 :class:`~repro.serving.server.TridentServer` schedules it without knowing
-there are N chips behind the id.  Three things distinguish it:
+there are N chips behind the id.  ``execute``, ``degrade`` and
+``repair`` are inherited unchanged; the subclass replaces three things:
 
 **Overlapped stage execution.**  ``dispatch_times_s`` runs the classic
 flow-shop recurrence over the worker's internal per-stage free times
@@ -22,14 +21,14 @@ the decision log are untouched.
 **Per-stage fault domains.**  Every stage carries its own health signal
 (worst program-verify ``unconverged_fraction`` across its part
 accelerators), its own :class:`~repro.serving.breaker.CircuitBreaker`,
-and its parts' :class:`~repro.faults.FaultManager`\\ s.  ``execute`` gates
-each stage in pipeline order: a quarantined or degraded stage fails the
-*whole* batch atomically before any output is returned — upstream stages
-may have burned symbols (that work is honestly lost), but no partial or
-corrupt outputs ever reach a requester, and the server's normal
-retry/shed machinery takes over.  The server-level breaker still sees
-every failure, so a sick stage quarantines the whole pipeline worker;
-``repair`` (invoked on the server's half-open probe) sweeps every
+and its parts' :class:`~repro.faults.FaultManager`\\ s.  The compute step
+gates each stage in pipeline order: a quarantined or degraded stage fails
+the *whole* batch atomically before any output is returned — upstream
+stages may have burned symbols (that work is honestly lost), but no
+partial or corrupt outputs ever reach a requester, and the server's
+normal retry/shed machinery takes over.  The server-level breaker still
+sees every failure, so a sick stage quarantines the whole pipeline
+worker; ``repair`` (invoked on the server's half-open probe) sweeps every
 stage's fault managers and re-closes stage breakers whose cooldown has
 elapsed and whose health has recovered.
 
@@ -45,14 +44,16 @@ import dataclasses
 
 import numpy as np
 
-from repro.chaos.session import (
-    corrupt_output as _chaos_corrupt,
-    crash_check as _chaos_crash,
-)
 from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
 from repro.errors import ServingError, WorkerFault
-from repro.integrity.checker import attest_batch as _attest_batch
 from repro.serving.breaker import BreakerState, CircuitBreaker
+from repro.serving.worker import (
+    DISPATCH_OVERHEAD_S,
+    UNHEALTHY_THRESHOLD,
+    AcceleratorWorker,
+    active_unconverged_fraction,
+)
+from repro.serving.workload import remap_manager
 from repro.sharding.pipeline import PipelineStage, ShardedPipeline
 from repro.sharding.planner import ShardPlan, reduction_tile_count
 from repro.telemetry.log import get_logger
@@ -64,12 +65,8 @@ from repro.telemetry.session import (
 
 _log = get_logger("repro.serving.sharded")
 
-
-def _accelerator_unconverged(acc) -> float:
-    """Worst verify non-convergence over one accelerator's active banks."""
-    active = {tile[4] for layer in acc.layers for tile in layer.tiles}
-    fractions = [acc.pes[index].bank.unconverged_fraction for index in active]
-    return max(fractions, default=0.0)
+#: Consecutive failed batches that open one stage's breaker.
+STAGE_FAILURE_THRESHOLD = 3
 
 
 class StageRuntime:
@@ -81,7 +78,6 @@ class StageRuntime:
         managers: list,
         breaker: CircuitBreaker,
         arch: PhotonicArch,
-        dispatch_overhead_s: float,
         bank_cols: int,
     ) -> None:
         if len(managers) != len(stage.parts):
@@ -93,7 +89,6 @@ class StageRuntime:
         self.managers = managers
         self.breaker = breaker
         self.arch = arch
-        self.dispatch_overhead_s = dispatch_overhead_s
         #: Column (reduction) tiles of the stage's member layers — row
         #: shards stream the same input concurrently, so the stage's
         #: latency is the plain layer-chain latency regardless of parts.
@@ -114,15 +109,13 @@ class StageRuntime:
             self.arch,
             self.reduction_tiles,
             batch_size,
-            overhead_s=self.dispatch_overhead_s,
+            overhead_s=DISPATCH_OVERHEAD_S,
         )
 
     @property
     def unconverged_fraction(self) -> float:
         """Worst verify non-convergence across the stage's parts."""
-        return max(
-            _accelerator_unconverged(acc) for acc in self.stage.parts
-        )
+        return max(map(active_unconverged_fraction, self.stage.parts))
 
     def health(self) -> dict:
         """Structured stage-health snapshot."""
@@ -134,48 +127,27 @@ class StageRuntime:
         }
 
 
-class ShardedWorker:
+class ShardedWorker(AcceleratorWorker):
     """N stage accelerators serving one model behind one worker id."""
+
+    #: A pipeline has no single chip or manager; see ``accelerators`` and
+    #: ``managers``.
+    acc = None
+    manager = None
+    _outputs_name = "drained batch"
 
     def __init__(
         self,
         worker_id: int,
         pipeline: ShardedPipeline,
         stage_managers: "list[list] | None" = None,
-        unhealthy_threshold: float = 0.02,
-        dispatch_overhead_s: float = 1e-6,
         overlap: bool = True,
-        stage_failure_threshold: int = 3,
         stage_cooldown_s: float = 1e-5,
         integrity=None,
     ) -> None:
-        if not 0.0 < unhealthy_threshold <= 1.0:
-            raise ServingError(
-                f"unhealthy threshold must be in (0, 1], got {unhealthy_threshold}"
-            )
-        if dispatch_overhead_s < 0:
-            raise ServingError("dispatch overhead must be non-negative")
-        for stage in pipeline.stages:
-            for acc in stage.parts:
-                if any(layer.weights is None for layer in acc.layers):
-                    raise ServingError(
-                        f"worker {worker_id} stage {stage.spec.index}: all "
-                        "layers need programmed weights"
-                    )
-        self.worker_id = int(worker_id)
         self.pipeline = pipeline
-        #: Optional :class:`~repro.integrity.PipelineChecker` attesting
-        #: every drained batch (per-part ABFT checksums + ladder).
-        self.integrity = integrity
-        self.unhealthy_threshold = float(unhealthy_threshold)
-        self.dispatch_overhead_s = float(dispatch_overhead_s)
         self.overlap = bool(overlap)
-        self.batches_executed = 0
-        self.batches_failed = 0
-        #: Escalation count already covered by a scrub (see :meth:`repair`).
-        self._scrubbed_escalations = 0
         self.stage_breaker_transitions: list[dict] = []
-        self._clock = None
         config = pipeline.stages[0].parts[0].config
         arch = PhotonicArch.trident(config)
         if stage_managers is None:
@@ -193,31 +165,39 @@ class ShardedWorker:
                 managers,
                 CircuitBreaker(
                     stage.spec.index,
-                    failure_threshold=stage_failure_threshold,
+                    failure_threshold=STAGE_FAILURE_THRESHOLD,
                     cooldown_s=stage_cooldown_s,
                     on_transition=self._on_stage_breaker_transition,
                 ),
                 arch,
-                self.dispatch_overhead_s,
                 config.bank_cols,
             )
             for stage, managers in zip(pipeline.stages, stage_managers)
         ]
+        self._init_common(worker_id, integrity)
 
     # ------------------------------------------------------------------
-    # Structure / clock
+    # Structure
     # ------------------------------------------------------------------
     @property
-    def input_dim(self) -> int:
-        """Model input width this worker serves."""
-        return self.pipeline.input_dim
+    def stage_accelerators(self) -> tuple:
+        """Each stage's part accelerators, in pipeline order."""
+        return tuple(tuple(s.stage.parts) for s in self.stages)
 
-    def bind_clock(self, clock) -> None:
-        """Adopt the server's virtual clock for stage-breaker timestamps."""
-        self._clock = clock
+    @property
+    def managers(self) -> tuple:
+        """Every stage's attached fault managers, in pipeline order."""
+        return tuple(
+            manager
+            for runtime in self.stages
+            for manager in runtime.managers
+            if manager is not None
+        )
 
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
+    @property
+    def stage_breakers(self) -> tuple:
+        """Each stage's circuit breaker, in pipeline order."""
+        return tuple(s.breaker for s in self.stages)
 
     def _on_stage_breaker_transition(self, now_s, stage_index, before, to, reason):
         record = {
@@ -271,35 +251,47 @@ class ShardedWorker:
     # Health
     # ------------------------------------------------------------------
     @property
-    def unconverged_fraction(self) -> float:
-        """Worst stage health signal (the pipeline is its sickest stage)."""
-        return max(s.unconverged_fraction for s in self.stages)
-
-    @property
     def healthy(self) -> bool:
         """True while every stage is within threshold and unquarantined."""
-        return all(
-            s.unconverged_fraction <= self.unhealthy_threshold
-            and s.breaker.state is not BreakerState.OPEN
-            for s in self.stages
+        return super().healthy and all(
+            s.breaker.state is not BreakerState.OPEN for s in self.stages
         )
 
     def health(self) -> dict:
         """Structured health snapshot, stage by stage."""
-        return {
-            "worker": self.worker_id,
-            "unconverged_fraction": self.unconverged_fraction,
-            "healthy": self.healthy,
-            "stages": [s.health() for s in self.stages],
-            "batches_executed": self.batches_executed,
-            "batches_failed": self.batches_failed,
-        }
+        return dict(
+            super().health(), stages=[s.health() for s in self.stages]
+        )
+
+    def _gate(self) -> None:
+        """No up-front gate: stages gate one by one in :meth:`_forward`,
+        after the dispatch hook has had its chance to fire."""
+
+    def _restore_stages(self) -> None:
+        """Walk each recovered stage's breaker OPEN -> HALF_OPEN -> CLOSED.
+
+        The repair sweep is the successful probe; a stage still inside
+        its own cooldown stays quarantined until a later window.
+        """
+        now = self._now()
+        for runtime in self.stages:
+            recovered = runtime.unconverged_fraction <= UNHEALTHY_THRESHOLD
+            if recovered and runtime.breaker.state is not BreakerState.CLOSED:
+                if runtime.breaker.allow(now):
+                    runtime.breaker.record_success(now)
+            _log.info(
+                "worker %d stage %d repair: health %.3f, breaker %s",
+                self.worker_id,
+                runtime.index,
+                runtime.unconverged_fraction,
+                runtime.breaker.state.value,
+            )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, xs: np.ndarray) -> np.ndarray:
-        """Run one micro-batch stage by stage; fail atomically on a bad stage.
+    def _forward(self, xs: np.ndarray, now: float) -> np.ndarray:
+        """Run the batch stage by stage; fail atomically on a bad stage.
 
         Each stage is gated twice — its breaker must allow traffic and
         its health signal must be within threshold — *before* its physics
@@ -307,38 +299,18 @@ class ShardedWorker:
         naming the stage: the batch is abandoned whole (stages already
         traversed spent real symbols, but nothing is returned), so
         requesters never see output that a degraded stage touched.
-
-        Chaos hook points bracket the pipeline: an armed ``worker_crash``
-        fires at dispatch (before stage 0) or drain (after the last
-        stage), and an armed ``corrupt_output`` poisons the drained
-        outputs — which the finite-output integrity gate then converts
-        into a :class:`WorkerFault`, proving corruption can never reach
-        a requester.  With no chaos session active each hook is one
-        global read.
         """
-        now = self._now()
-        inputs = xs
-        reason = _chaos_crash(self.worker_id, "dispatch", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at dispatch: {reason}"
-            )
         for runtime in self.stages:
             if not runtime.breaker.allow(now):
-                self.batches_failed += 1
                 raise WorkerFault(
                     f"worker {self.worker_id} stage {runtime.index} "
                     "quarantined (stage breaker open)"
                 )
             fraction = runtime.unconverged_fraction
-            if fraction > self.unhealthy_threshold:
+            if fraction > UNHEALTHY_THRESHOLD:
                 runtime.breaker.record_failure(now)
-                self.batches_failed += 1
-                raise WorkerFault(
-                    f"worker {self.worker_id} stage {runtime.index} degraded: "
-                    f"unconverged fraction {fraction:.3f} > "
-                    f"{self.unhealthy_threshold:.3f}"
+                raise self._degraded_fault(
+                    f"worker {self.worker_id} stage {runtime.index}", fraction
                 )
             with _trace_span(
                 "shard_stage",
@@ -351,124 +323,7 @@ class ShardedWorker:
                     xs, record=self.integrity is not None
                 )
             runtime.breaker.record_success(now)
-        xs = _chaos_corrupt(self.worker_id, now, xs)
-        reason = _chaos_crash(self.worker_id, "drain", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at drain: {reason}"
-            )
-        if self.integrity is not None:
-            try:
-                xs = _attest_batch(
-                    self.integrity,
-                    inputs,
-                    xs,
-                    worker_id=self.worker_id,
-                    now_s=now,
-                    manager=[
-                        m
-                        for runtime in self.stages
-                        for m in runtime.managers
-                        if m is not None
-                    ],
-                )
-            except WorkerFault:
-                self.batches_failed += 1
-                raise
-        if not np.all(np.isfinite(xs)):
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} output integrity check failed: "
-                "non-finite values in drained batch"
-            )
-        self.batches_executed += 1
         return xs
-
-    # ------------------------------------------------------------------
-    # Degradation / repair
-    # ------------------------------------------------------------------
-    def degrade_stage(
-        self,
-        stage_index: int,
-        fraction: float,
-        stuck_level: int | None = None,
-        rng=None,
-    ) -> int:
-        """Inject stuck faults into one stage and refresh its readback.
-
-        Mirrors :meth:`AcceleratorWorker.degrade` for a single fault
-        domain; returns newly stuck cells across the stage's parts.  An
-        external ``rng`` (a chaos injection's derived stream) leaves the
-        parts' own generators untouched.
-        """
-        runtime = self.stages[stage_index]
-        stuck = 0
-        for acc in runtime.stage.parts:
-            stuck += acc.inject_stuck_faults(
-                fraction, stuck_level=stuck_level, rng=rng
-            )
-            if acc.verify_writer is not None:
-                for layer in acc.layers:
-                    for tile_index in range(len(layer.tiles)):
-                        acc.reprogram_tile(layer.index, tile_index)
-        _log.warning(
-            "worker %d stage %d degraded: %d stuck cells (health %.3f)",
-            self.worker_id, stage_index, stuck, runtime.unconverged_fraction,
-        )
-        return stuck
-
-    def repair(self) -> bool:
-        """Sweep every stage's fault managers; True when all stages recover.
-
-        Runs during the server's half-open quarantine window.  A stage
-        whose health recovers and whose own cooldown has elapsed gets its
-        breaker walked OPEN -> HALF_OPEN -> CLOSED here (the repair sweep
-        is the successful probe); a stage still inside its cooldown stays
-        quarantined until a later window.
-        """
-        now = self._now()
-        swept = False
-        for runtime in self.stages:
-            for manager in runtime.managers:
-                if manager is not None:
-                    manager.repair()
-                    swept = True
-            recovered = (
-                runtime.unconverged_fraction <= self.unhealthy_threshold
-            )
-            if recovered and runtime.breaker.state is not BreakerState.CLOSED:
-                if runtime.breaker.allow(now):
-                    runtime.breaker.record_success(now)
-            _log.info(
-                "worker %d stage %d repair: health %.3f, breaker %s",
-                self.worker_id,
-                runtime.index,
-                runtime.unconverged_fraction,
-                runtime.breaker.state.value,
-            )
-        if self.integrity is not None:
-            escalated = self.integrity.counters.escalated
-            scrub = escalated > self._scrubbed_escalations
-            if scrub:
-                # Escalated SDC means some part's data path was provably
-                # wrong with no stuck-cell signature the managers could
-                # see: scrub every part's data tiles from the digital
-                # weight shadow *before* recalibrating, or the checker
-                # would re-baseline against the corruption.
-                for runtime in self.stages:
-                    for acc in runtime.stage.parts:
-                        for layer in acc.layers:
-                            for tile_index in range(len(layer.tiles)):
-                                acc.reprogram_tile(layer.index, tile_index)
-                self._scrubbed_escalations = escalated
-            if swept or scrub:
-                # The sweep rewrote data tiles (possibly migrating them);
-                # checksum rows must re-track the deployment and
-                # thresholds must re-baseline or post-repair batches
-                # would false-trip.
-                self.integrity.rewrite_and_recalibrate()
-        return self.healthy
 
 
 def build_sharded_worker(
@@ -482,8 +337,6 @@ def build_sharded_worker(
     program_verify=None,
     with_managers: bool = False,
     spare_pes: int = 0,
-    unhealthy_threshold: float = 0.02,
-    dispatch_overhead_s: float = 1e-6,
     stage_cooldown_s: float = 1e-5,
     with_integrity: bool = False,
     integrity_config=None,
@@ -519,37 +372,22 @@ def build_sharded_worker(
         program_verify=program_verify,
         seed=seed,
     )
-    stage_managers: list[list] = []
+    stage_managers = None
     if with_managers:
         if program_verify is None:
             raise ServingError(
                 "fault managers need program-verify readback; pass a "
                 "ProgramVerifyConfig (zero-sigma for bit-identity)"
             )
-        from repro.faults import FaultManager, RepairConfig
-
-        for stage in pipeline.stages:
-            managers = []
-            for acc in stage.parts:
-                n_tiles = sum(len(layer.tiles) for layer in acc.layers)
-                manager = FaultManager(
-                    acc,
-                    config=RepairConfig(
-                        policy="remap", max_migrations=n_tiles
-                    ),
-                )
-                # The manager attached after programming: replay every
-                # tile write (same weights, same stored scale) so its
-                # detector sees a baseline readback per tile.
-                for layer in acc.layers:
-                    for tile_index in range(len(layer.tiles)):
-                        acc.reprogram_tile(layer.index, tile_index)
-                managers.append(manager)
-            stage_managers.append(managers)
-    else:
         stage_managers = [
-            [None] * len(stage.parts) for stage in pipeline.stages
+            [remap_manager(acc) for acc in stage.parts]
+            for stage in pipeline.stages
         ]
+        # The managers attached after programming: replay every tile
+        # write (same weights, same stored scale) so each detector sees
+        # a baseline readback per tile.
+        for acc in pipeline.accelerators:
+            acc.reprogram_all()
     integrity = None
     if with_integrity:
         from repro.integrity.checker import PipelineChecker
@@ -561,8 +399,6 @@ def build_sharded_worker(
         worker_id,
         pipeline,
         stage_managers=stage_managers,
-        unhealthy_threshold=unhealthy_threshold,
-        dispatch_overhead_s=dispatch_overhead_s,
         overlap=overlap,
         stage_cooldown_s=stage_cooldown_s,
         integrity=integrity,

@@ -15,6 +15,14 @@ three things to the server:
 - **Execution** — ``forward_batch`` on the real functional engine, so
   served outputs carry the full quantization/noise/fault physics and
   event accounting of any other forward pass.
+
+A pipeline of chips (:class:`~repro.serving.sharded.ShardedWorker`) is a
+subclass that replaces only the schedule, the stage-by-stage health
+walk and the compute step; ``execute``, ``degrade`` and ``repair`` exist
+once, here.  Every worker exposes the chips it serves on
+(``accelerators``, per stage in ``stage_accelerators``), its fault
+``managers`` and its ``stage_breakers``, so callers never need to know
+which kind of worker they hold.
 """
 
 from __future__ import annotations
@@ -26,53 +34,67 @@ from repro.chaos.session import (
     crash_check as _chaos_crash,
 )
 from repro.dataflow.cost_model import PhotonicArch, forward_batch_latency_s
-from repro.errors import ServingError, WorkerFault
+from repro.errors import ChaosError, ServingError, WorkerFault
 from repro.integrity.checker import attest_batch as _attest_batch
 from repro.telemetry.log import get_logger
 
 _log = get_logger("repro.serving.worker")
 
+#: Worst program-verify non-convergence a worker (or pipeline stage) may
+#: report and still serve.
+UNHEALTHY_THRESHOLD = 0.02
+#: Fixed host-side cost of one dispatch, added to every batch latency [s].
+DISPATCH_OVERHEAD_S = 1e-6
+
+
+def active_unconverged_fraction(acc) -> float:
+    """Worst program-verify non-convergence across ``acc``'s *active* banks.
+
+    Only PEs currently backing a mapped tile count: a migrate-tier
+    repair abandons a worn PE in place, and its stale readback must not
+    keep condemning a worker that no longer uses it.
+    """
+    active = {tile[4] for layer in acc.layers for tile in layer.tiles}
+    fractions = [acc.pes[index].bank.unconverged_fraction for index in active]
+    return max(fractions, default=0.0)
+
 
 class AcceleratorWorker:
     """One dispatchable accelerator behind the serving layer."""
 
+    #: What the finite-output gate calls the outputs it rejects.
+    _outputs_name = "batch output"
+
     def __init__(
-        self,
-        worker_id: int,
-        accelerator,
-        manager=None,
-        unhealthy_threshold: float = 0.02,
-        dispatch_overhead_s: float = 1e-6,
-        integrity=None,
+        self, worker_id: int, accelerator, manager=None, integrity=None
     ) -> None:
-        if not accelerator.layers:
-            raise ServingError(
-                f"worker {worker_id}: map and program a network before serving"
-            )
-        if any(layer.weights is None for layer in accelerator.layers):
-            raise ServingError(
-                f"worker {worker_id}: all layers need programmed weights"
-            )
-        if not 0.0 < unhealthy_threshold <= 1.0:
-            raise ServingError(
-                f"unhealthy threshold must be in (0, 1], got {unhealthy_threshold}"
-            )
-        if dispatch_overhead_s < 0:
-            raise ServingError("dispatch overhead must be non-negative")
-        self.worker_id = int(worker_id)
         self.acc = accelerator
         self.manager = manager
-        #: Optional :class:`~repro.integrity.IntegrityChecker` attesting
-        #: every executed batch (ABFT checksum verification + ladder).
-        self.integrity = integrity
-        self.unhealthy_threshold = float(unhealthy_threshold)
-        self.dispatch_overhead_s = float(dispatch_overhead_s)
+        self._init_common(worker_id, integrity)
         self.arch = PhotonicArch.trident(accelerator.config)
         cols = accelerator.config.bank_cols
         #: Per-layer column (reduction) tile counts for the latency model.
         self.layer_reduction_tiles = tuple(
             -(-layer.in_dim // cols) for layer in accelerator.layers
         )
+
+    def _init_common(self, worker_id: int, integrity) -> None:
+        """Checks and bookkeeping every worker kind shares."""
+        for acc in self.accelerators:
+            if not acc.layers:
+                raise ServingError(
+                    f"worker {worker_id}: map and program a network before "
+                    "serving"
+                )
+            if any(layer.weights is None for layer in acc.layers):
+                raise ServingError(
+                    f"worker {worker_id}: all layers need programmed weights"
+                )
+        self.worker_id = int(worker_id)
+        #: Optional ABFT checker attesting every executed batch
+        #: (:class:`~repro.integrity.IntegrityChecker` for one chip,
+        #: :class:`~repro.integrity.PipelineChecker` for a pipeline).
+        self.integrity = integrity
         self.batches_executed = 0
         self.batches_failed = 0
         #: Escalation count already covered by a scrub (see :meth:`repair`).
@@ -83,17 +105,38 @@ class AcceleratorWorker:
     # Structure
     # ------------------------------------------------------------------
     @property
+    def stage_accelerators(self) -> tuple:
+        """The chips of each fault domain, in pipeline order.
+
+        A single-chip worker is one stage of one chip."""
+        return ((self.acc,),)
+
+    @property
+    def accelerators(self) -> tuple:
+        """Every chip behind this worker, in pipeline order."""
+        return tuple(acc for parts in self.stage_accelerators for acc in parts)
+
+    @property
+    def managers(self) -> tuple:
+        """The attached fault managers, in pipeline order."""
+        return () if self.manager is None else (self.manager,)
+
+    @property
+    def stage_breakers(self) -> tuple:
+        """Per-stage circuit breakers inside the worker (none for one chip)."""
+        return ()
+
+    @property
     def input_dim(self) -> int:
         """Model input width this worker serves."""
-        return self.acc.layers[0].in_dim
+        return self.accelerators[0].layers[0].in_dim
 
     def bind_clock(self, clock) -> None:
         """Accept the server's virtual clock.
 
-        A single-chip worker has no internal schedule of its own; the
-        clock is kept solely so execute-time chaos hook points can
-        timestamp their checks against the plan (pipelined workers also
-        timestamp their per-stage breakers with it)."""
+        Execute-time chaos hook points timestamp their checks against
+        the plan with it (pipelined workers also timestamp their
+        per-stage breakers with it)."""
         self._clock = clock
 
     def _now(self) -> float:
@@ -108,7 +151,7 @@ class AcceleratorWorker:
             self.arch,
             self.layer_reduction_tiles,
             batch_size,
-            overhead_s=self.dispatch_overhead_s,
+            overhead_s=DISPATCH_OVERHEAD_S,
         )
 
     def dispatch_times_s(
@@ -131,24 +174,13 @@ class AcceleratorWorker:
     # ------------------------------------------------------------------
     @property
     def unconverged_fraction(self) -> float:
-        """Worst program-verify non-convergence across *active* banks.
-
-        Only PEs currently backing a mapped tile count: a migrate-tier
-        repair abandons a worn PE in place, and its stale readback must
-        not keep condemning a worker that no longer uses it.
-        """
-        active = {
-            tile[4] for layer in self.acc.layers for tile in layer.tiles
-        }
-        fractions = [
-            self.acc.pes[index].bank.unconverged_fraction for index in active
-        ]
-        return max(fractions, default=0.0)
+        """Worst active-bank verify non-convergence across every chip."""
+        return max(map(active_unconverged_fraction, self.accelerators))
 
     @property
     def healthy(self) -> bool:
         """True while the health signal is within the serving threshold."""
-        return self.unconverged_fraction <= self.unhealthy_threshold
+        return self.unconverged_fraction <= UNHEALTHY_THRESHOLD
 
     def health(self) -> dict:
         """Structured health snapshot (for reports and breaker decisions)."""
@@ -156,25 +188,43 @@ class AcceleratorWorker:
             "worker": self.worker_id,
             "unconverged_fraction": self.unconverged_fraction,
             "healthy": self.healthy,
-            "tiles_unrepaired": (
-                self.manager.log.tiles_unrepaired if self.manager else 0
+            "tiles_unrepaired": sum(
+                manager.log.tiles_unrepaired for manager in self.managers
             ),
             "batches_executed": self.batches_executed,
             "batches_failed": self.batches_failed,
         }
 
+    def _degraded_fault(self, where: str, fraction: float) -> WorkerFault:
+        return WorkerFault(
+            f"{where} degraded: unconverged fraction {fraction:.3f} > "
+            f"{UNHEALTHY_THRESHOLD:.3f}"
+        )
+
+    def _gate(self) -> None:
+        """Fail the batch up front when the chip is degraded."""
+        if not self.healthy:
+            raise self._degraded_fault(
+                f"worker {self.worker_id}", self.unconverged_fraction
+            )
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _forward(self, xs: np.ndarray, now: float) -> np.ndarray:
+        """The compute step: the chip's batched forward pass."""
+        return self.acc.forward_batch(xs, record=self.integrity is not None)
+
     def execute(self, xs: np.ndarray) -> np.ndarray:
         """Run one micro-batch; raises :class:`WorkerFault` when degraded.
 
         The health gate comes first: a worker whose banks report
         above-threshold non-convergence fails the batch outright (its
         outputs could not be trusted), handing the requests back to the
-        server for retry elsewhere or shedding.
+        server for retry elsewhere or shedding.  A pipeline gates each
+        stage inside its compute step instead.
 
-        Chaos hook points bracket the forward pass: an armed
+        Chaos hook points bracket the compute step: an armed
         ``worker_crash`` fires at dispatch (before the physics) or drain
         (after it), and an armed ``corrupt_output`` poisons the outputs
         with NaNs — which the finite-output integrity gate then converts
@@ -183,56 +233,45 @@ class AcceleratorWorker:
         global read; the hooks live here, not in ``forward_batch``,
         precisely to keep the accelerator's hot loop untouched.
 
-        When an :class:`~repro.integrity.IntegrityChecker` is attached,
-        the batch is additionally ABFT-attested *after* the chaos hooks
-        (so the check sees exactly what a requester would): finite but
-        wrong outputs — ``silent_corrupt`` chaos, analog faults — trip
-        the checksum ladder and either recover or escalate as a
-        retryable :class:`~repro.errors.IntegrityFault`.
+        When an ABFT checker is attached, the batch is additionally
+        attested *after* the chaos hooks (so the check sees exactly what
+        a requester would): finite but wrong outputs — ``silent_corrupt``
+        chaos, analog faults — trip the checksum ladder and either
+        recover or escalate as a retryable
+        :class:`~repro.errors.IntegrityFault`.
         """
         now = self._now()
-        if not self.healthy:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} degraded: unconverged fraction "
-                f"{self.unconverged_fraction:.3f} > "
-                f"{self.unhealthy_threshold:.3f}"
-            )
-        reason = _chaos_crash(self.worker_id, "dispatch", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at dispatch: {reason}"
-            )
-        outputs = self.acc.forward_batch(
-            xs, record=self.integrity is not None
-        )
-        outputs = _chaos_corrupt(self.worker_id, now, outputs)
-        reason = _chaos_crash(self.worker_id, "drain", now)
-        if reason is not None:
-            self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} crashed at drain: {reason}"
-            )
-        if self.integrity is not None:
-            try:
+        try:
+            self._gate()
+            reason = _chaos_crash(self.worker_id, "dispatch", now)
+            if reason is not None:
+                raise WorkerFault(
+                    f"worker {self.worker_id} crashed at dispatch: {reason}"
+                )
+            outputs = self._forward(xs, now)
+            outputs = _chaos_corrupt(self.worker_id, now, outputs)
+            reason = _chaos_crash(self.worker_id, "drain", now)
+            if reason is not None:
+                raise WorkerFault(
+                    f"worker {self.worker_id} crashed at drain: {reason}"
+                )
+            if self.integrity is not None:
                 outputs = _attest_batch(
                     self.integrity,
                     xs,
                     outputs,
                     worker_id=self.worker_id,
                     now_s=now,
-                    manager=self.manager,
+                    managers=self.managers,
                 )
-            except WorkerFault:
-                self.batches_failed += 1
-                raise
-        if not np.all(np.isfinite(outputs)):
+            if not np.all(np.isfinite(outputs)):
+                raise WorkerFault(
+                    f"worker {self.worker_id} output integrity check failed: "
+                    f"non-finite values in {self._outputs_name}"
+                )
+        except WorkerFault:
             self.batches_failed += 1
-            raise WorkerFault(
-                f"worker {self.worker_id} output integrity check failed: "
-                "non-finite values in batch output"
-            )
+            raise
         self.batches_executed += 1
         return outputs
 
@@ -240,63 +279,88 @@ class AcceleratorWorker:
     # Degradation / repair (the breaker's collaborators)
     # ------------------------------------------------------------------
     def degrade(
-        self, fraction: float, stuck_level: int | None = None, rng=None
+        self,
+        fraction: float,
+        stuck_level: int | None = None,
+        rng=None,
+        stage: int | None = None,
     ) -> int:
         """Inject stuck faults and refresh readback so health reflects them.
 
-        Models a mid-run wear event.  The post-injection reprogram is
-        what updates each bank's verify readback (and therefore
-        ``unconverged_fraction``) — without program-verify enabled the
-        damage stays invisible and the worker keeps serving degraded.
-        An external ``rng`` (a chaos injection's derived stream) leaves
-        the accelerator's own generator untouched.  Returns the number
-        of newly stuck cells.
+        Models a mid-run wear event on one fault domain (``stage``) or,
+        with ``stage=None``, on every chip.  The post-injection
+        reprogram is what updates each bank's verify readback (and
+        therefore ``unconverged_fraction``) — without program-verify
+        enabled the damage stays invisible and the worker keeps serving
+        degraded.  An external ``rng`` (a chaos injection's derived
+        stream) leaves the accelerators' own generators untouched.
+        Chaos plans name stages, so a stage this worker lacks raises
+        :class:`~repro.errors.ChaosError`.  Returns the number of newly
+        stuck cells.
         """
-        stuck = self.acc.inject_stuck_faults(
-            fraction, stuck_level=stuck_level, rng=rng
+        stages = self.stage_accelerators
+        if stage is None:
+            accelerators = self.accelerators
+        elif 0 <= stage < len(stages):
+            accelerators = stages[stage]
+        else:
+            raise ChaosError(
+                f"worker {self.worker_id} has {len(stages)} stage(s); "
+                f"stage {stage} does not exist"
+            )
+        stuck = 0
+        for acc in accelerators:
+            stuck += acc.inject_stuck_faults(
+                fraction, stuck_level=stuck_level, rng=rng
+            )
+            if acc.verify_writer is not None:
+                acc.reprogram_all()
+        where = f"worker {self.worker_id}" + (
+            "" if stage is None else f" stage {stage}"
         )
-        if self.acc.verify_writer is not None:
-            for layer in self.acc.layers:
-                for tile_index in range(len(layer.tiles)):
-                    self.acc.reprogram_tile(layer.index, tile_index)
         _log.warning(
-            "worker %d degraded: %d stuck cells injected (health %.3f)",
-            self.worker_id, stuck, self.unconverged_fraction,
+            "%s degraded: %d stuck cells injected (health %.3f)",
+            where, stuck, self.unconverged_fraction,
         )
         return stuck
+
+    def _restore_stages(self) -> None:
+        """Re-admit recovered stages after a repair sweep (none here)."""
 
     def repair(self) -> bool:
         """Walk the fault-repair ladder; True when health is restored.
 
         Called by the server when a breaker goes half-open — the
-        quarantine window is when maintenance runs.  Without a
-        :class:`~repro.faults.FaultManager` the worker cannot self-heal.
+        quarantine window is when maintenance runs.  Every attached
+        :class:`~repro.faults.FaultManager` sweeps its chip; without one
+        a chip cannot self-heal.
         """
-        if self.manager is None and self.integrity is None:
-            return self.healthy
-        if self.manager is not None:
-            self.manager.repair()
+        managers = self.managers
+        for manager in managers:
+            manager.repair()
+        self._restore_stages()
         if self.integrity is not None:
             escalated = self.integrity.counters.escalated
-            if escalated > self._scrubbed_escalations:
+            scrub = escalated > self._scrubbed_escalations
+            if scrub:
                 # Escalated SDC means the data path was provably wrong
-                # with no stuck-cell signature the manager could see
+                # with no stuck-cell signature the managers could see
                 # (drifted realized levels, not a readback fault), so
-                # the manager's sweep left the damage in place.  Scrub:
-                # reprogram every data tile from the digital weight
-                # shadow.  This must happen *before* recalibration —
-                # re-baselining thresholds against a corrupted bank
-                # would teach the checker to accept the corruption.
-                for layer in self.acc.layers:
-                    for tile_index in range(len(layer.tiles)):
-                        self.acc.reprogram_tile(layer.index, tile_index)
+                # their sweep left the damage in place.  Scrub: reprogram
+                # every data tile from the digital weight shadow.  This
+                # must happen *before* recalibration — re-baselining
+                # thresholds against a corrupted bank would teach the
+                # checker to accept the corruption.
+                for acc in self.accelerators:
+                    acc.reprogram_all()
                 self._scrubbed_escalations = escalated
-            # Repair rewrote (and possibly migrated) the data tiles; the
-            # checksum rows must re-track the new deployment and the
-            # thresholds must re-baseline against any residual
-            # degradation left within budget, or every post-repair
-            # batch would trip.
-            self.integrity.rewrite_and_recalibrate()
+            if managers or scrub:
+                # The sweep or scrub rewrote (and possibly migrated) the
+                # data tiles; the checksum rows must re-track the new
+                # deployment and the thresholds must re-baseline against
+                # any residual degradation left within budget, or every
+                # post-repair batch would trip.
+                self.integrity.rewrite_and_recalibrate()
         _log.info(
             "worker %d repair sweep done: health %.3f (%s)",
             self.worker_id,

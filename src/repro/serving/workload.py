@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ServingError
+from repro.serving.breaker import trip_and_restore
 from repro.serving.request import InferenceRequest, ShedReason
 from repro.serving.server import ServeReport, ServerConfig, TridentServer
 from repro.serving.worker import AcceleratorWorker
@@ -216,10 +217,9 @@ class ServeRunResult:
         """Attestation counters summed across ABFT-checked workers."""
         total: dict[str, int] = {}
         for worker in self.workers:
-            checker = getattr(worker, "integrity", None)
-            if checker is None:
+            if worker.integrity is None:
                 continue
-            for key, value in checker.counters.as_dict().items():
+            for key, value in worker.integrity.counters.as_dict().items():
                 total[key] = total.get(key, 0) + value
         return total
 
@@ -323,12 +323,7 @@ def smoke_checks(
     report: ServeReport, replay: ServeReport
 ) -> list[tuple[str, bool]]:
     """The ``repro serve --smoke`` pass/fail list."""
-    transitions = [(t["to"], t["reason"]) for t in report.breaker_transitions]
-    tripped = any(to == "open" for to, _ in transitions)
-    restored = any(
-        to == "closed" and reason == "probe_succeeded"
-        for to, reason in transitions
-    )
+    tripped, restored = trip_and_restore(report.breaker_transitions)
     rates = shed_rate_by_priority(report)
     high = [rate for p, rate in rates.items() if p > 0]
     priority_skewed = not report.shed or (

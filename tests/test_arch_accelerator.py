@@ -81,6 +81,30 @@ class TestWeights:
         assert acc.counters.bank_writes == 8  # 6 + 2 tiles
         assert acc.counters.cells_written == 24 * 40 + 4 * 24
 
+    def test_rejected_set_weights_keeps_previous_deployment(self, rng):
+        acc = TridentAccelerator()
+        acc.map_mlp([40, 24, 4])
+        first = [rng.uniform(-1, 1, (24, 40)), rng.uniform(-1, 1, (4, 24))]
+        acc.set_weights(first)
+        writes = acc.counters.bank_writes
+        with pytest.raises(ShapeError):
+            acc.set_weights([rng.uniform(-1, 1, (24, 40)), np.zeros((4, 25))])
+        assert np.array_equal(acc.layers[0].weights, first[0])
+        assert acc.counters.bank_writes == writes
+
+    def test_reprogram_all_rewrites_every_tile_once(self, rng):
+        acc = TridentAccelerator()
+        acc.map_mlp([40, 24, 4])
+        acc.set_weights([rng.uniform(-1, 1, (24, 40)), rng.uniform(-1, 1, (4, 24))])
+        before = acc.counters.as_dict()
+        acc.reprogram_all()
+        after = acc.counters.as_dict()
+        assert after["bank_writes"] - before["bank_writes"] == 8
+        assert (
+            after["cells_written"] - before["cells_written"]
+            == 24 * 40 + 4 * 24
+        )
+
 
 class TestForward:
     def test_matches_digital_reference(self, rng):

@@ -46,6 +46,12 @@ from repro.errors import ChaosError, CheckpointError, ReproError
 from repro.runtime.checkpoint import CheckpointStore, save_checkpoint
 from repro.runtime.clock import VirtualClock
 from repro.serving.breaker import BreakerState, CircuitBreaker
+from repro.serving.shard_workload import (
+    ShardWorkloadConfig,
+    plan_workload,
+    run_shard_workload,
+)
+from repro.serving.workload import build_worker
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +375,60 @@ class TestAudit:
         other = _soak_serve_run(1, False).report
         result = audit_serve_run(report, replay=other)
         assert any("bit_identical_replay" in f for f in result.failed())
+
+
+# ---------------------------------------------------------------------------
+# Stuck bursts against fault domains: every worker kind, every stage bound
+# ---------------------------------------------------------------------------
+def _stuck_plan(**params):
+    return ChaosPlan(
+        seed=1,
+        injections=(
+            Injection(1e-6, "stuck_burst", 0, dict(fraction=0.02, **params)),
+        ),
+    )
+
+
+class TestStuckBurstStages:
+    CFG = ShardWorkloadConfig(n_requests=24)
+
+    def _run(self, plan):
+        return run_shard_workload(self.CFG, overlap=True, chaos_plan=plan)
+
+    def _n_stages(self):
+        return plan_workload(self.CFG).n_stages
+
+    def test_stageless_burst_degrades_every_stage(self):
+        result = self._run(_stuck_plan())
+        assert result.report.conservation_ok()
+        (applied,) = result.chaos_applied
+        assert applied["stuck_cells"] > 0
+
+    def test_last_stage_accepted(self):
+        result = self._run(_stuck_plan(stage=self._n_stages() - 1))
+        assert result.report.conservation_ok()
+        assert len(result.chaos_applied) == 1
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_stage_past_the_end_rejected(self, offset):
+        n = self._n_stages()
+        with pytest.raises(ChaosError, match=f"worker 0 has {n} stage"):
+            self._run(_stuck_plan(stage=n + offset))
+
+    def test_negative_stage_rejected(self):
+        with pytest.raises(ChaosError, match="worker 0 has"):
+            self._run(_stuck_plan(stage=-1))
+
+    @pytest.mark.parametrize("stage", [None, 0])
+    def test_single_chip_is_one_stage(self, stage):
+        worker = build_worker(0, (6, 4), 3)
+        assert worker.degrade(0.1, stuck_level=254, stage=stage) > 0
+
+    @pytest.mark.parametrize("stage", [-1, 1])
+    def test_single_chip_rejects_other_stages(self, stage):
+        worker = build_worker(0, (6, 4), 3)
+        with pytest.raises(ChaosError, match="worker 0 has 1 stage"):
+            worker.degrade(0.1, stage=stage)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ class TestEscalationLadder:
                 outputs,
                 worker_id=0,
                 now_s=0.0,
-                manager=[spy, None],
+                managers=[spy],
             )
         assert spy.calls == 1
 

@@ -8,6 +8,7 @@ import pytest
 from repro import telemetry
 from repro.errors import ServingError, WorkerFault
 from repro.runtime import VirtualClock
+from repro.serving.breaker import trip_and_restore
 from repro.serving import (
     AcceleratorWorker,
     AdmissionQueue,
@@ -214,6 +215,27 @@ def make_worker(worker_id=0, dims=(6, 4), seed=3):
     return build_worker(worker_id, dims, seed)
 
 
+class TestTripAndRestore:
+    RECORDS = [
+        {"worker": 0, "to": "open", "reason": "failure_threshold"},
+        {"worker": 0, "to": "half_open", "reason": "cooldown_elapsed"},
+        {"worker": 0, "to": "closed", "reason": "probe_succeeded"},
+        {"worker": 1, "to": "open", "reason": "chaos_storm"},
+    ]
+
+    def test_trip_then_probe_restore(self):
+        assert trip_and_restore(self.RECORDS) == (True, True)
+
+    def test_match_filters_records(self):
+        assert trip_and_restore(self.RECORDS, worker=1) == (True, False)
+        assert trip_and_restore(self.RECORDS, worker=2) == (False, False)
+
+    def test_close_without_probe_is_not_a_restore(self):
+        records = [{"to": "closed", "reason": "manual"}]
+        assert trip_and_restore(records) == (False, False)
+
+
+# ---------------------------------------------------------------------------
 class TestAcceleratorWorker:
     def test_requires_programmed_network(self):
         from repro.arch import TridentAccelerator

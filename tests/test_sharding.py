@@ -19,6 +19,7 @@ from repro.errors import (
     WorkerFault,
 )
 from repro.serving import (
+    AcceleratorWorker,
     InferenceRequest,
     ServerConfig,
     ShardedWorker,
@@ -350,7 +351,7 @@ class TestShardedWorkerScheduling:
         xs = np.random.default_rng(0).uniform(-1, 1, (4, self.CFG.dims[0]))
         worker.execute(xs)  # healthy baseline
         executed_before = worker.batches_executed
-        worker.degrade_stage(1, 0.08, stuck_level=254)
+        worker.degrade(0.08, stuck_level=254, stage=1)
         assert not worker.healthy
         with pytest.raises(WorkerFault) as excinfo:
             worker.execute(xs)
@@ -364,12 +365,27 @@ class TestShardedWorkerScheduling:
         xs = np.random.default_rng(1).uniform(-1, 1, (4, self.CFG.dims[0]))
         expected = reference.forward_batch(xs)
         assert np.array_equal(worker.execute(xs), expected)
-        worker.degrade_stage(1, 0.04, stuck_level=254)
+        worker.degrade(0.04, stuck_level=254, stage=1)
         with pytest.raises(WorkerFault):
             worker.execute(xs)
         assert worker.repair()
         assert worker.healthy
         assert np.array_equal(worker.execute(xs), expected)
+
+    def test_exposes_the_single_chip_worker_surface(self):
+        worker = build_pipeline_worker(self.CFG, overlap=True)
+        assert isinstance(worker, AcceleratorWorker)
+        assert worker.accelerators == tuple(worker.pipeline.accelerators)
+        assert len(worker.managers) == len(worker.accelerators)
+        assert len(worker.stage_breakers) == len(worker.stages)
+        assert worker.input_dim == worker.pipeline.input_dim
+
+    def test_stageless_degrade_hits_every_stage(self):
+        worker = build_pipeline_worker(self.CFG, overlap=True)
+        worker.degrade(0.08, stuck_level=254)
+        assert all(
+            s.unconverged_fraction > 0.0 for s in worker.stages
+        )
 
     def test_stage_manager_count_validated(self):
         worker = build_pipeline_worker(self.CFG, overlap=True)
