@@ -17,11 +17,23 @@ requests — important once arrivals are merged from many per-tenant
 streams.  Earlier peers of equal rank therefore always keep their
 place: the newest arrival at the bottom tier has had the least time
 invested and displacing it reorders the least.
+
+Beside the priority order the queue keeps a **deadline index**: a
+min-heap of ``(deadline_s, seq, request)`` over the residents that have
+a deadline.  Entries are deleted lazily — popping, removing or evicting
+a resident only forgets its admission sequence, and the stale heap entry
+is discarded when it reaches the top or when the heap is compacted (as
+soon as dead entries outnumber live ones, so the heap stays O(depth)).
+:meth:`AdmissionQueue.drop_hopeless` therefore costs O(dropped · log n)
+instead of a full rescan per dispatch pass, and drops exactly the set the
+scan would: ``deadline - now`` is monotone in the deadline, so the
+hopeless residents are always a prefix of the heap order.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 
 from repro.errors import ServingError
 from repro.serving.request import InferenceRequest
@@ -43,6 +55,10 @@ class AdmissionQueue:
         #: Admission sequence per resident, aligned with ``_items``.
         self._seqs: list[int] = []
         self._next_seq = 0
+        #: Deadline index: a heap of ``(deadline_s, seq, request)`` with
+        #: lazy deletion; an entry is live while its seq is in ``_live``.
+        self._deadlines: list[tuple] = []
+        self._live: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -65,6 +81,11 @@ class AdmissionQueue:
         self._keys.insert(index, key)
         self._items.insert(index, request)
         self._seqs.insert(index, self._next_seq)
+        if request.deadline_s is not None:
+            heapq.heappush(
+                self._deadlines, (request.deadline_s, self._next_seq, request)
+            )
+            self._live.add(self._next_seq)
         self._next_seq += 1
 
     def _victim_index(self) -> int:
@@ -97,10 +118,21 @@ class AdmissionQueue:
         self.push(request)
         return True, victim
 
+    def _forget(self, seqs) -> None:
+        """Retire ``seqs`` from the deadline index (lazy deletion)."""
+        self._live.difference_update(seqs)
+        if len(self._deadlines) > 2 * len(self._live):
+            # Dead entries outnumber live ones: compact so the heap stays
+            # proportional to the queue, not to its history.
+            self._deadlines = [
+                entry for entry in self._deadlines if entry[1] in self._live
+            ]
+            heapq.heapify(self._deadlines)
+
     def _delete(self, index: int) -> None:
         del self._keys[index]
         del self._items[index]
-        del self._seqs[index]
+        self._forget((self._seqs.pop(index),))
 
     def remove(self, request: InferenceRequest) -> None:
         """Remove a specific resident (must be present)."""
@@ -113,6 +145,7 @@ class AdmissionQueue:
         taken = self._items[:limit]
         del self._items[:limit]
         del self._keys[:limit]
+        self._forget(self._seqs[:limit])
         del self._seqs[:limit]
         return taken
 
@@ -124,19 +157,37 @@ class AdmissionQueue:
         A request is hopeless once even an immediate solo dispatch would
         finish past its deadline — the "early shedding" half of deadline
         enforcement: capacity is never spent on work that is already lost.
+
+        Hopeless residents are popped off the deadline index (earliest
+        deadline first) and returned in pop order, as a full scan of the
+        queue would list them.
         """
-        kept_keys: list[tuple] = []
-        kept_items: list[InferenceRequest] = []
-        kept_seqs: list[int] = []
-        dropped: list[InferenceRequest] = []
-        for key, req, seq in zip(self._keys, self._items, self._seqs):
-            if req.slack_s(now_s) < min_service_s:
-                dropped.append(req)
-            else:
-                kept_keys.append(key)
-                kept_items.append(req)
-                kept_seqs.append(seq)
-        self._keys, self._items, self._seqs = kept_keys, kept_items, kept_seqs
+        heap, live = self._deadlines, self._live
+        hits = []
+        while heap:
+            _, seq, req = heap[0]
+            if seq in live:
+                if not req.slack_s(now_s) < min_service_s:
+                    break
+                hits.append((seq, req))
+            heapq.heappop(heap)
+        if not hits:
+            return []
+        self._forget([seq for seq, _ in hits])
+        indices = []
+        for seq, req in hits:
+            # Keys are unique per resident in a run; the seq scan only
+            # disambiguates equal keys pushed by hand.
+            index = bisect.bisect_left(self._keys, _order_key(req))
+            while self._seqs[index] != seq:
+                index += 1
+            indices.append(index)
+        indices.sort()
+        dropped = [self._items[i] for i in indices]
+        for index in reversed(indices):
+            del self._keys[index]
+            del self._items[index]
+            del self._seqs[index]
         return dropped
 
     def snapshot(self) -> tuple[InferenceRequest, ...]:

@@ -586,7 +586,8 @@ class TridentServer:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _admit(self, request: InferenceRequest, is_retry: bool) -> None:
+    def _admit(self, request: InferenceRequest, is_retry: bool) -> bool:
+        """Admit ``request`` or shed it; True when it was queued."""
         now = self.clock.now()
         if not is_retry:
             boost = self.tenant_boost.get(request.tenant, 0)
@@ -600,7 +601,7 @@ class TridentServer:
                 ShedReason.DEGRADED_SHED,
                 f"traffic class {request.kind!r} frozen by degraded mode",
             )
-            return
+            return False
         if self.min_priority is not None and request.priority < self.min_priority:
             self._record_shed(
                 request,
@@ -608,7 +609,7 @@ class TridentServer:
                 f"below admission floor (priority {request.priority} < "
                 f"{self.min_priority})",
             )
-            return
+            return False
         if request.deadline_s is not None:
             if self._estimate_completion_s(now) > request.deadline_s:
                 self._record_shed(
@@ -616,13 +617,13 @@ class TridentServer:
                     ShedReason.DEADLINE_UNREACHABLE,
                     "admission estimate past deadline",
                 )
-                return
+                return False
         admitted, evicted = self.queue.offer(request)
         if not admitted:
             self._record_shed(
                 request, ShedReason.QUEUE_FULL, "queue full, not outranked"
             )
-            return
+            return False
         if evicted is not None:
             self._record_shed(
                 evicted,
@@ -644,6 +645,7 @@ class TridentServer:
         _metric_gauge(
             "repro_serve_queue_depth", "Admission-queue depth"
         ).set_at(len(self.queue), now)
+        return True
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -1026,20 +1028,12 @@ class TridentServer:
                         fn(self)
                     elif category == _RETRY:
                         _, _, request = heapq.heappop(self._retries)
-                        self._admit(request, is_retry=True)
-                        if request.request_id not in {
-                            r.request.request_id for r in self.shed
-                        }:
+                        if self._admit(request, is_retry=True):
                             admitted_ids.add(request.request_id)
                     else:  # _ARRIVAL
                         request = self._arrivals[self._arrival_index]
                         self._arrival_index += 1
-                        before = len(self.shed)
-                        self._admit(request, is_retry=False)
-                        if len(self.shed) == before or (
-                            self.shed[-1].request.request_id
-                            != request.request_id
-                        ):
+                        if self._admit(request, is_retry=False):
                             admitted_ids.add(request.request_id)
                     self._dispatch_all()
         finally:

@@ -221,7 +221,7 @@ class ShardedWorker(AcceleratorWorker):
     # ------------------------------------------------------------------
     # Cost model / overlap schedule
     # ------------------------------------------------------------------
-    def service_time_s(self, batch_size: int) -> float:
+    def _service_time_uncached_s(self, batch_size: int) -> float:
         """End-to-end (pipeline-fill) latency of one batch."""
         return sum(s.service_time_s(batch_size) for s in self.stages)
 

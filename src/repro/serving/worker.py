@@ -100,6 +100,8 @@ class AcceleratorWorker:
         #: Escalation count already covered by a scrub (see :meth:`repair`).
         self._scrubbed_escalations = 0
         self._clock = None
+        #: Memoized :meth:`service_time_s`, keyed by batch size.
+        self._service_s: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -146,7 +148,23 @@ class AcceleratorWorker:
     # Cost model
     # ------------------------------------------------------------------
     def service_time_s(self, batch_size: int) -> float:
-        """Cost-model latency for one batch of ``batch_size`` samples."""
+        """Cost-model latency for one batch of ``batch_size`` samples.
+
+        Memoized per worker: the schedule behind it is fixed at map time,
+        and the event loop prices the same few batch sizes hundreds of
+        thousands of times.  A miss stores the exact value
+        :meth:`_service_time_uncached_s` returns, so every lookup is
+        bit-identical to computing it afresh.
+        """
+        cached = self._service_s.get(batch_size)
+        if cached is None:
+            cached = self._service_s[batch_size] = (
+                self._service_time_uncached_s(batch_size)
+            )
+        return cached
+
+    def _service_time_uncached_s(self, batch_size: int) -> float:
+        """The cost model itself: one chip's layer chain."""
         return forward_batch_latency_s(
             self.arch,
             self.layer_reduction_tiles,

@@ -14,6 +14,10 @@ code that shares none of their batching:
 
 Every function charges the accelerator's event counters and the banks'
 stats the way the hardware would, so counters can be compared exactly.
+
+The serving layer's indexed admission queue has its naive reference here
+too: :func:`naive_drop_hopeless` is the full-queue scan the deadline
+index replaced.
 """
 
 from __future__ import annotations
@@ -181,3 +185,29 @@ def train_step(acc, lr: float, x_batch: np.ndarray, labels: np.ndarray) -> float
     if acc.control.set_mode(OperatingMode.INFERENCE):
         acc.counters.mode_switches += 1
     return total_loss / batch
+
+
+# ----------------------------------------------------------------------
+# Serving
+# ----------------------------------------------------------------------
+def naive_drop_hopeless(queue, now_s: float, min_service_s: float) -> list:
+    """Full-scan ``AdmissionQueue.drop_hopeless``: test every resident.
+
+    Rewrites ``queue``'s priority-ordered lists in place and returns the
+    dropped requests in pop order.  It leaves the queue's deadline index
+    untouched, so a queue driven by this oracle must never also call the
+    indexed ``drop_hopeless``.
+    """
+    kept_keys: list[tuple] = []
+    kept_items: list = []
+    kept_seqs: list[int] = []
+    dropped: list = []
+    for key, req, seq in zip(queue._keys, queue._items, queue._seqs):
+        if req.slack_s(now_s) < min_service_s:
+            dropped.append(req)
+        else:
+            kept_keys.append(key)
+            kept_items.append(req)
+            kept_seqs.append(seq)
+    queue._keys, queue._items, queue._seqs = kept_keys, kept_items, kept_seqs
+    return dropped

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.errors import ServingError, WorkerFault
+from repro.dataflow.cost_model import forward_batch_latency_s
+from repro.errors import ConfigError, ServingError, WorkerFault
 from repro.runtime import VirtualClock
 from repro.serving.breaker import trip_and_restore
+from repro.serving.worker import DISPATCH_OVERHEAD_S
 from repro.serving import (
     AcceleratorWorker,
     AdmissionQueue,
@@ -248,6 +250,26 @@ class TestAcceleratorWorker:
         t1, t8 = worker.service_time_s(1), worker.service_time_s(8)
         assert 0 < t1 < t8
 
+    def test_service_time_memo_is_bit_identical(self, tiny_dims):
+        worker = make_worker(dims=tiny_dims)
+        for b in range(1, 65):
+            direct = forward_batch_latency_s(
+                worker.arch, worker.layer_reduction_tiles, b,
+                overhead_s=DISPATCH_OVERHEAD_S,
+            )
+            assert worker.service_time_s(b) == direct  # miss
+            assert worker.service_time_s(b) == direct  # hit
+
+    def test_service_time_rejects_empty_batch_and_caches_nothing(
+        self, tiny_dims
+    ):
+        worker = make_worker(dims=tiny_dims)
+        with pytest.raises(ConfigError):
+            worker.service_time_s(0)
+        assert 0 not in worker._service_s
+        with pytest.raises(ConfigError):
+            worker.service_time_s(0)
+
     def test_execute_returns_batch_outputs(self, tiny_dims):
         worker = make_worker(dims=tiny_dims)
         out = worker.execute(np.zeros((3, tiny_dims[0])))
@@ -355,6 +377,48 @@ class TestTridentServer:
         assert all(
             r.attempts <= server.config.max_retries + 1 for r in report.shed
         )
+
+    def test_admitted_ids_follow_admit_outcome_on_retries(self):
+        # A degraded, unrepairable worker fails every batch, so both
+        # requests come back as retries.  Training traffic is frozen
+        # before the first retry: request 0's retry is shed at admission,
+        # request 1's is re-admitted.
+        worker = make_worker(0, (6, 4), seed=3)
+        worker.manager = None
+        worker.degrade(0.3, stuck_level=254)
+        server = TridentServer(
+            [worker],
+            config=ServerConfig(
+                max_queue_depth=8, max_batch=2, slo_latency_s=1e-4,
+                max_retries=1, breaker_cooldown_s=1e-6,
+            ),
+        )
+        server.schedule_action(
+            1e-9, "freeze", lambda s: s.frozen_kinds.add("train")
+        )
+        calls = []
+        admit = server._admit
+
+        def spy(request, is_retry):
+            queued = admit(request, is_retry)
+            calls.append((request.request_id, is_retry, queued))
+            return queued
+
+        server._admit = spy
+        arrivals = [
+            dataclasses.replace(req(0, 0.0, n_in=6), kind="train"),
+            req(1, 0.0, n_in=6),
+        ]
+        report = server.run(arrivals)
+        assert report.conservation_ok()
+        assert (0, True, False) in calls  # retry shed at admission
+        assert (1, True, True) in calls   # retry re-admitted
+        assert report.admitted_ids == {0, 1}  # each counted once
+        assert report.admitted == 2
+        frozen = [
+            r for r in report.shed if r.reason is ShedReason.DEGRADED_SHED
+        ]
+        assert [r.request.request_id for r in frozen] == [0]
 
     def test_rejects_bad_fleet(self):
         worker = make_worker(0, (6, 4))

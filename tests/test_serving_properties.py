@@ -11,19 +11,26 @@ The invariants under test, per ISSUE acceptance criteria:
   ``max_retries + 1`` times.
 - **Determinism** — replaying the same seed and arrival schedule yields
   a bit-identical admit/shed/dispatch decision sequence and outputs.
+- **Indexed admission** — the deadline-indexed ``drop_hopeless`` drops
+  exactly what the naive full scan in ``tests/oracles.py`` drops, in the
+  same order, and its heap stays proportional to the queue.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
+    AdmissionQueue,
     InferenceRequest,
     ServerConfig,
     ShedReason,
     TridentServer,
     build_worker,
 )
+from tests import oracles
 
 DIMS = (6, 4)
 
@@ -133,3 +140,90 @@ class TestServingInvariants:
             deadline = completion.request.deadline_s
             expected = deadline is None or completion.finish_s <= deadline
             assert completion.deadline_met == expected
+
+
+# ---------------------------------------------------------------------------
+# Few distinct values, so equal deadlines, equal priorities and equal
+# arrival times are common; ``None`` is a best-effort request.
+deadlines = st.one_of(
+    st.none(), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, math.inf])
+)
+offer_op = st.tuples(
+    st.just("offer"),
+    st.integers(0, 2),                  # priority
+    st.sampled_from([0.0, 0.5, 1.0]),  # arrival
+    deadlines,
+)
+# Offers are weighted up so the queue fills, evicts and often holds
+# several hopeless residents at once.
+queue_ops = st.lists(
+    st.one_of(
+        offer_op,
+        offer_op,
+        offer_op,
+        st.tuples(st.just("pop"), st.integers(1, 4)),
+        st.tuples(st.just("remove"), st.integers(0, 7)),
+        st.tuples(
+            st.just("drop"),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),         # now
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]),  # min service
+        ),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+def _request(rid, priority, arrival, deadline):
+    return InferenceRequest(
+        request_id=rid, x=np.zeros(1), arrival_s=arrival,
+        deadline_s=deadline, priority=priority,
+    )
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class TestDeadlineIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.integers(1, 6), ops=queue_ops)
+    def test_indexed_queue_matches_naive_scan(self, depth, ops):
+        indexed, naive = AdmissionQueue(depth), AdmissionQueue(depth)
+        for rid, op in enumerate(ops):
+            if op[0] == "offer":
+                request = _request(rid, *op[1:])
+                if indexed.full:
+                    got, want = indexed.offer(request), naive.offer(request)
+                    assert got[0] == want[0] and got[1] is want[1]
+                else:
+                    indexed.push(request)
+                    naive.push(request)
+            elif op[0] == "pop":
+                assert _same(indexed.pop_batch(op[1]), naive.pop_batch(op[1]))
+            elif op[0] == "remove":
+                if len(naive):
+                    victim = naive.snapshot()[op[1] % len(naive)]
+                    indexed.remove(victim)
+                    naive.remove(victim)
+            else:
+                now, min_service = op[1:]
+                assert _same(
+                    indexed.drop_hopeless(now, min_service),
+                    oracles.naive_drop_hopeless(naive, now, min_service),
+                )
+            assert _same(indexed.snapshot(), naive.snapshot())
+
+    def test_deadline_heap_stays_bounded(self):
+        rng = np.random.default_rng(5)
+        q = AdmissionQueue(64)
+        for rid in range(6000):
+            action = rng.integers(4)
+            if action < 2 or not len(q):
+                deadline = None if rng.random() < 0.2 else float(rng.random())
+                q.offer(_request(rid, int(rng.integers(3)), 0.0, deadline))
+            elif action == 2:
+                q.pop_batch(int(rng.integers(1, 8)))
+            else:
+                q.drop_hopeless(float(rng.random()) * 0.2, 0.1)
+            assert len(q._deadlines) <= 2 * len(q) + 1

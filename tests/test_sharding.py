@@ -341,10 +341,10 @@ class TestShardedWorkerScheduling:
 
     def test_service_time_is_pipeline_fill(self):
         worker = build_pipeline_worker(self.CFG, overlap=True)
-        b = 4
-        assert worker.service_time_s(b) == pytest.approx(
-            sum(s.service_time_s(b) for s in worker.stages)
-        )
+        for b in range(1, 65):
+            fill = sum(s.service_time_s(b) for s in worker.stages)
+            assert worker.service_time_s(b) == fill  # miss
+            assert worker.service_time_s(b) == fill  # hit
 
     def test_degraded_stage_fails_batch_atomically(self):
         worker = build_pipeline_worker(self.CFG, overlap=True)
