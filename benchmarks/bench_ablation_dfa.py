@@ -4,7 +4,16 @@ The paper's Related Work argues for Trident's true-gradient training over
 the DFA used by Filipovich et al. [9].  This bench races both on the same
 functional hardware and prices DFA's genuine advantage — resident feedback
 matrices cost no backward retuning — against its convergence penalty.
+
+DFA streams one sample at a time, so its writes are compared with
+backprop on the same per-sample schedule (``tests/oracles.py``), which
+restores the forward weights before every sample.  The batched backprop
+row shows what grouping the W^T reprogram saves on top; it is not the
+like-for-like comparison.
 """
+
+import sys
+from pathlib import Path
 
 from repro import TridentAccelerator
 from repro.eval.formatting import format_table
@@ -14,7 +23,24 @@ from repro.training.dfa import DFATrainer
 from repro.training.insitu import InSituTrainer
 from repro.training.trainer import train_classifier
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests import oracles  # noqa: E402
+
 DIMS = [8, 12, 3]
+
+
+class PerSampleBackprop(InSituTrainer):
+    """True backprop on DFA's one-sample-at-a-time schedule."""
+
+    def train_step(self, x_batch, labels):
+        return oracles.train_step(self.acc, self.lr, x_batch, labels)
+
+
+TRAINERS = {
+    "backprop (per-sample)": lambda acc: PerSampleBackprop(acc, lr=0.3),
+    "backprop (batched)": lambda acc: InSituTrainer(acc, lr=0.3),
+    "dfa": lambda acc: DFATrainer(acc, lr=0.3, seed=4),
+}
 
 
 def dfa_vs_bp(epochs: int = 6, seed: int = 1):
@@ -23,17 +49,13 @@ def dfa_vs_bp(epochs: int = 6, seed: int = 1):
     train, test = data.split(0.8, seed=0)
 
     results = []
-    for name in ("backprop", "dfa"):
+    for name, make_trainer in TRAINERS.items():
         acc = TridentAccelerator()
         acc.map_mlp(DIMS)
         acc.set_weights(
             [w.copy() for w in DigitalMLP(DIMS, activation="gst", seed=2).weights]
         )
-        trainer = (
-            InSituTrainer(acc, lr=0.3)
-            if name == "backprop"
-            else DFATrainer(acc, lr=0.3, seed=4)
-        )
+        trainer = make_trainer(acc)
         hist = train_classifier(trainer, train, test, epochs=epochs, batch_size=16)
         results.append(
             [
@@ -56,11 +78,13 @@ def test_ablation_dfa_vs_backprop(benchmark, record_report):
     )
     record_report("ablation_dfa", text)
     by_name = {r[0]: r for r in rows}
-    # DFA saves retuning (its feedback matrices stay resident) ...
-    assert by_name["dfa"][3] < by_name["backprop"][3]
+    backprop = by_name["backprop (per-sample)"]
+    # On the same per-sample schedule DFA saves retuning (its feedback
+    # matrices stay resident) ...
+    assert by_name["dfa"][3] < backprop[3]
     # ... but true-gradient training converges at least as fast early on
     # (the paper's argument for implementing real backprop).
-    assert by_name["backprop"][1] >= by_name["dfa"][1]
+    assert backprop[1] >= by_name["dfa"][1]
     # Both reach a good solution on this small task.
-    assert by_name["backprop"][2] > 0.9
+    assert backprop[2] > 0.9
     assert by_name["dfa"][2] > 0.9

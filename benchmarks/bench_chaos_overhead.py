@@ -7,11 +7,11 @@ The contract (docs/ARCHITECTURE.md §13) is that with no active
 :class:`~repro.chaos.session.ChaosSession` each hook costs one
 module-global read, so a serving stack that never enables chaos pays
 (nearly) nothing for carrying it.  This bench holds the whole
-per-batch hook budget — including the integrity gate's ``isfinite``
-scan, the one piece that runs real work even with chaos off — to < 1%
-of a batched forward pass:
+per-batch hook budget — including the worker's finite-output gate
+(:func:`repro.serving.worker.all_finite`), the one piece that runs real
+work even with chaos off — to < 1% of a batched forward pass:
 
-    2 x crash_check + corrupt_output + isfinite(outputs)  <  1% x wall.
+    2 x crash_check + corrupt_output + all_finite(outputs)  <  1% x wall.
 """
 
 import time
@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.arch import TridentAccelerator
 from repro.chaos.session import corrupt_output, crash_check, disable, enabled
+from repro.serving.worker import all_finite
 
 DIMS = [64, 48, 10]
 BATCH = 256
@@ -62,9 +63,7 @@ def test_disabled_chaos_under_one_percent(record_report):
     # Disabled-path primitive costs (tight loops resolve sub-us costs).
     crash_cost = _per_call(lambda: crash_check(0, "dispatch", 0.0))
     corrupt_cost = _per_call(lambda: corrupt_output(0, 0.0, outputs))
-    gate_cost = _per_call(
-        lambda: np.all(np.isfinite(outputs)), iters=MICRO_ITERS // 10
-    )
+    gate_cost = _per_call(lambda: all_finite(outputs), iters=MICRO_ITERS // 10)
 
     # Hook sites one worker.execute runs per batch: crash checks at
     # dispatch and drain, one corruption hook, one integrity gate.

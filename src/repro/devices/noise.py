@@ -79,21 +79,56 @@ class NoiseModel:
         return self._rng
 
     # ------------------------------------------------------------------
+    @property
+    def detection_variance_coeffs(self) -> tuple[float, float, float]:
+        """``(a, c, r)``: one detected value m has noise variance
+        ``a*|m| + c + (r*m)**2`` (shot + thermal + RIN).
+
+        The single definition of the detection-noise law; batched paths
+        that sum independent detections build their variances from it.
+        """
+        return self.shot_noise_coeff**2, self.thermal_noise_std**2, self.rin_coeff
+
+    def add_detection_noise(
+        self, signal: np.ndarray, variance: np.ndarray | None = None
+    ) -> None:
+        """Add zero-mean Gaussian detection noise to ``signal`` in place.
+
+        ``variance`` is the per-element noise variance; by default it is
+        the single-detection law of :attr:`detection_variance_coeffs` at
+        ``signal``.  One generator call fills every element.  A no-op when
+        the model is disabled.
+        """
+        if not self.enabled:
+            return
+        # Term by term in the evaluation order of a*|m| + c + (r*m)**2, so
+        # the result equals that expression bit for bit.
+        std = np.empty(signal.shape)
+        draw = np.empty(signal.shape)
+        if variance is None:
+            a, c, r = self.detection_variance_coeffs
+            np.abs(signal, out=std)
+            std *= a
+            std += c
+            np.multiply(signal, r, out=draw)
+            draw *= draw
+            std += draw
+        else:
+            std[...] = variance
+        np.sqrt(std, out=std)
+        self._rng.standard_normal(out=draw)
+        draw *= std
+        signal += draw
+
     def apply_detection_noise(self, signal: np.ndarray) -> np.ndarray:
         """Apply shot + thermal + RIN noise to a detected photocurrent array.
 
-        Vectorized: one generator call per noise source regardless of the
-        array size.  Returns a new array; the input is never mutated.
+        Vectorized: one generator call for the whole array.  Returns a new
+        array; the input is never mutated.
         """
-        signal = np.asarray(signal, dtype=np.float64)
-        if not self.enabled:
-            return signal.copy()
-        std = np.sqrt(
-            self.shot_noise_coeff**2 * np.abs(signal)
-            + self.thermal_noise_std**2
-            + (self.rin_coeff * signal) ** 2
-        )
-        return signal + self._rng.standard_normal(signal.shape) * std
+        noisy = np.array(signal, dtype=np.float64)
+        self.add_detection_noise(noisy)
+        return noisy
 
     def apply_programming_noise(self, levels: np.ndarray, level_std: float) -> np.ndarray:
         """Perturb programmed PCM levels by ``level_std`` (in level units)."""

@@ -112,6 +112,7 @@ class BalancedPhotodetector:
         self,
         differential: np.ndarray | float,
         scale_w: float = 1.0e-3,
+        variance: np.ndarray | None = None,
     ) -> np.ndarray:
         """Detect a normalized differential signal.
 
@@ -121,14 +122,27 @@ class BalancedPhotodetector:
         dimensionless domain.  This is the entry point the functional MVM
         uses — it exercises the same noise path as :meth:`detect` without
         forcing callers to carry absolute power units.
+
+        The branch split needs no arrays of its own: the positive part
+        lands on the plus diode and the negative part on the minus diode,
+        so ``r*(plus - minus)`` is ``r*d*scale_w`` with -0 read as +0 and
+        a NaN (which lights neither diode) read as 0, and both optical
+        powers are non-negative by construction.  ``variance`` is the
+        per-element detection-noise variance when the value is a weighted
+        sum of independent detections (see
+        :meth:`ProcessingElement.outer_product_batch`); by default the
+        noise model's single-detection law applies.
         """
+        if scale_w <= 0:
+            raise DeviceError(f"scale_w must be positive, got {scale_w}")
         d = np.asarray(differential, dtype=np.float64)
-        plus = np.where(d > 0, d, 0.0) * scale_w
-        minus = np.where(d < 0, -d, 0.0) * scale_w
-        if np.any(plus < 0) or np.any(minus < 0):
-            raise DeviceError("optical powers must be non-negative")
         r = self.detector.responsivity_a_per_w
-        exact = r * (plus - minus) / (r * scale_w)
+        x = np.multiply(d, scale_w, out=np.empty(d.shape))
+        x += 0.0  # -0 -> +0, as plus - minus gives
+        x[np.isnan(x)] = 0.0
+        x *= r
+        x /= r * scale_w
         # Noise coefficients are specified in normalized units, so the
         # stochastic stage acts after renormalization.
-        return self.noise.apply_detection_noise(exact)
+        self.noise.add_detection_noise(x, variance)
+        return x

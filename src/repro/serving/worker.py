@@ -27,6 +27,8 @@ which kind of worker they hold.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.chaos.session import (
@@ -45,6 +47,17 @@ _log = get_logger("repro.serving.worker")
 UNHEALTHY_THRESHOLD = 0.02
 #: Fixed host-side cost of one dispatch, added to every batch latency [s].
 DISPATCH_OVERHEAD_S = 1e-6
+
+
+def all_finite(outputs: np.ndarray) -> bool:
+    """Whether every element of ``outputs`` is finite: the finite-output gate.
+
+    A NaN or ±inf element makes the sum non-finite, so a finite sum
+    settles it in one reduction; only a non-finite sum (a real fault, or
+    finite values whose sum overflows) pays the element-wise scan.
+    """
+    outputs = np.asarray(outputs)
+    return math.isfinite(outputs.sum()) or bool(np.isfinite(outputs).all())
 
 
 def active_unconverged_fraction(acc) -> float:
@@ -282,7 +295,7 @@ class AcceleratorWorker:
                     now_s=now,
                     managers=self.managers,
                 )
-            if not np.all(np.isfinite(outputs)):
+            if not all_finite(outputs):
                 raise WorkerFault(
                     f"worker {self.worker_id} output integrity check failed: "
                     f"non-finite values in {self._outputs_name}"

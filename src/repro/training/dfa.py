@@ -153,7 +153,9 @@ class DFATrainer:
         pe = self.acc.pes[self.acc.layers[k].tiles[0][4]]
         d_norm = RangeNormalizer.normalize(delta)
         y_norm = RangeNormalizer.normalize(y_prev)
-        grad = pe.outer_product_batch(d_norm.values[None], y_norm.values[None])[0]
+        grad = pe.outer_product_batch(
+            d_norm.values[None], y_norm.values[None], np.ones(1)
+        )
         self.acc.counters.bank_writes += 1
         self.acc.counters.cells_written += y_prev.size * delta.size
         self.acc.counters.symbols += delta.size

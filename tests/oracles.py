@@ -10,7 +10,11 @@ code that shares none of their batching:
 - the outer product as a real program-then-stream of a column-constant
   bank (``bank.program`` + ``matmat(diag(delta))``);
 - training one sample at a time, restoring the forward weights the
-  previous sample's backward pass overwrote.
+  previous sample's backward pass overwrote;
+- the photodetector's branch-split detection (:func:`detect_normalized`)
+  and the batched outer product as a (B, y, d) stack of per-sample noisy
+  detections summed over B (:func:`summed_outer_product`), the forms the
+  lean detector and the one-GEMM outer product replaced.
 
 Every function charges the accelerator's event counters and the banks'
 stats the way the hardware would, so counters can be compared exactly.
@@ -25,11 +29,42 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.control import OperatingMode, RangeNormalizer
+from repro.errors import DeviceError
 from repro.nn.reference import cross_entropy_loss
 
 #: A delta whose peak magnitude is below this is a dead path (the
 #: trainer's threshold).
 GRAD_EPS = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Detector
+# ----------------------------------------------------------------------
+def detection_noise(noise, signal: np.ndarray) -> np.ndarray:
+    """``signal`` plus one independent Gaussian draw per element with the
+    single-detection variance shot^2*|m| + thermal^2 + (rin*m)^2."""
+    signal = np.asarray(signal, dtype=np.float64)
+    if not noise.enabled:
+        return signal.copy()
+    std = np.sqrt(
+        noise.shot_noise_coeff**2 * np.abs(signal)
+        + noise.thermal_noise_std**2
+        + (noise.rin_coeff * signal) ** 2
+    )
+    return signal + noise.rng.standard_normal(signal.shape) * std
+
+
+def detect_normalized(bpd, differential, scale_w: float = 1.0e-3) -> np.ndarray:
+    """Balanced detection with explicit plus/minus branches: the positive
+    part on one diode, the negative part on the other, then renormalize."""
+    d = np.asarray(differential, dtype=np.float64)
+    plus = np.where(d > 0, d, 0.0) * scale_w
+    minus = np.where(d < 0, -d, 0.0) * scale_w
+    if np.any(plus < 0) or np.any(minus < 0):
+        raise DeviceError("optical powers must be non-negative")
+    r = bpd.detector.responsivity_a_per_w
+    exact = r * (plus - minus) / (r * scale_w)
+    return detection_noise(bpd.noise, exact)
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +109,30 @@ def pe_outer_product(pe, delta_h: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
     pe.bank.program(np.tile(y_prev[:, None], (1, delta_h.shape[0])))
     streamed = pe.bank.matmat(np.diag(delta_h))  # (len(y), len(d))
     return pe.bpd.detect_normalized(streamed).T
+
+
+def outer_product_stack(pe, delta_h: np.ndarray, y_prev: np.ndarray) -> np.ndarray:
+    """(B, d, y) per-sample detected blocks d_b ⊗ y_b, one noisy detection
+    per element, charged like B program-then-stream outer products."""
+    batch, d = delta_h.shape
+    y = y_prev.shape[1]
+    realized_y = pe.bank.realize_virtually(y_prev)
+    if pe.bank.crosstalk is not None:
+        colsum = pe.bank.crosstalk[:d, :d].sum(axis=0)
+    else:
+        colsum = np.ones(d)
+    streamed = realized_y[:, :, None] * (delta_h * colsum)[:, None, :]
+    detected = detect_normalized(pe.bpd, streamed)  # (B, y, d)
+    pe.bank.account_writes(batch, y * d)
+    pe.bank.account_symbols(batch * d)
+    return detected.transpose(0, 2, 1)
+
+
+def summed_outer_product(
+    pe, delta_h: np.ndarray, y_prev: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_b weights[b] * (d_b ⊗ y_b) from the per-sample stack."""
+    return np.einsum("bij,b->ij", outer_product_stack(pe, delta_h, y_prev), weights)
 
 
 # ----------------------------------------------------------------------

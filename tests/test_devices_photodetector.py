@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices.noise import NoiseModel
 from repro.devices.photodetector import BalancedPhotodetector, Photodetector
 from repro.errors import ConfigError, DeviceError
+from tests import oracles
 
 
 class TestPhotodetector:
@@ -88,3 +91,79 @@ class TestBalancedPhotodetector:
         a = BalancedPhotodetector(noise=NoiseModel.realistic(seed=9)).detect_normalized(sig)
         b = BalancedPhotodetector(noise=NoiseModel.realistic(seed=9)).detect_normalized(sig)
         assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# The lean detector against the branch-split oracle
+# ----------------------------------------------------------------------
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308,
+            -2.2e-308, 1e-310, -1e-310, 1e308, -1e308, 1.0, -1.0]
+
+
+@st.composite
+def _signals(draw):
+    shape = draw(st.sampled_from([(), (1,), (7,), (3, 5), (2, 3, 4)]))
+    size = int(np.prod(shape, dtype=int))
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_SPECIAL),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+class TestLeanDetectorMatchesOracle:
+    """``detect_normalized`` must reproduce the explicit plus/minus branch
+    split byte for byte: ±0, NaN, ±inf, subnormals, any responsivity and
+    scale, and the same noise draws from a shared seed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        signal=_signals(),
+        responsivity=st.sampled_from([1.0, 0.8, 1.7, 3e-5]),
+        scale_w=st.sampled_from([1e-3, 1.0, 0.37, 1e-300, 1e300]),
+        noisy=st.booleans(),
+        # (shot, thermal, rin): the defaults, then laws each dominated by
+        # one term so a reordered variance expression shows in the bits.
+        coeffs=st.sampled_from(
+            [(0.002, 0.001, 0.001), (0.0, 0.0, 0.37), (0.3, 0.0, 0.0), (0.3, 0.05, 0.7)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_byte_identical(self, signal, responsivity, scale_w, noisy, coeffs, seed):
+        shot, thermal, rin = coeffs
+
+        def bpd():
+            return BalancedPhotodetector(
+                detector=Photodetector(responsivity_a_per_w=responsivity),
+                noise=NoiseModel(enabled=noisy, shot_noise_coeff=shot,
+                                 thermal_noise_std=thermal, rin_coeff=rin, seed=seed),
+            )
+
+        with np.errstate(all="ignore"):
+            expected = oracles.detect_normalized(bpd(), signal, scale_w)
+            got = bpd().detect_normalized(signal, scale_w)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_apply_detection_noise_matches_oracle(self):
+        sig = np.linspace(-2.0, 2.0, 101)
+        got = NoiseModel.realistic(seed=4).apply_detection_noise(sig)
+        expected = oracles.detection_noise(NoiseModel.realistic(seed=4), sig)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_never_mutates_input(self):
+        sig = np.array([-0.0, 1.0, np.nan])
+        before = sig.tobytes()
+        BalancedPhotodetector(noise=NoiseModel.realistic(seed=1)).detect_normalized(sig)
+        assert sig.tobytes() == before
+
+    def test_rejects_non_positive_scale(self):
+        with pytest.raises(DeviceError):
+            BalancedPhotodetector().detect_normalized(np.ones(2), scale_w=0.0)

@@ -10,7 +10,7 @@ from repro.dataflow.cost_model import forward_batch_latency_s
 from repro.errors import ConfigError, ServingError, WorkerFault
 from repro.runtime import VirtualClock
 from repro.serving.breaker import trip_and_restore
-from repro.serving.worker import DISPATCH_OVERHEAD_S
+from repro.serving.worker import DISPATCH_OVERHEAD_S, all_finite
 from repro.serving import (
     AcceleratorWorker,
     AdmissionQueue,
@@ -294,6 +294,23 @@ class TestAcceleratorWorker:
         assert worker.unconverged_fraction == 0.0
         out = worker.execute(np.zeros((2, tiny_dims[0])))
         assert out.shape == (2, tiny_dims[-1])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.0, -0.0, 5e-324, -1.0],
+            [1.0, np.nan],
+            [np.inf, 1.0],
+            [-np.inf, np.inf],
+            [1e308, 1e308],  # finite, but the sum overflows
+            [1e308, 1e308, np.nan],
+        ],
+    )
+    def test_finite_output_gate_matches_elementwise_scan(self, values):
+        outputs = np.array(values, dtype=np.float64).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all_finite(outputs) == bool(np.all(np.isfinite(outputs)))
 
     def test_health_snapshot_keys(self, tiny_dims):
         health = make_worker(dims=tiny_dims).health()
