@@ -13,7 +13,11 @@ The enabled path is ``forward_batch(record=True)`` followed by a clean
 - the check itself — ``attest_batch`` — stays under the 5% budget, and
 - the recorded forward stays within 10% of the plain forward (the
   record pass keeps views + the E/O byproducts, no O(in x B) copies;
-  this guards against quietly reintroducing them).
+  this guards against quietly reintroducing them).  Plain and recorded
+  passes run in back-to-back pairs, alternating which goes first, and
+  the bar applies to the median of the per-pair ratios: a drift in box
+  load hits both passes of a pair alike, where the minima of two
+  separate blocks of passes swung by tens of percent between runs.
 
 ``attest_batch`` is timed directly rather than as the difference of two
 ~30 ms full-pass wall times, whose run-to-run jitter on a shared box is
@@ -34,10 +38,33 @@ from repro.integrity.workload import build_integrity_worker
 DIMS = (768, 768, 768)
 BATCH = 256
 SEED = 7
-N_FORWARD = 8
+N_PAIRS = 24
 N_ATTEST = 25
 MAX_ENABLED_OVERHEAD = 0.05
 MAX_RECORD_OVERHEAD = 0.10
+
+
+def _time(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _paired(plain, record, n: int) -> tuple[list[float], list[float]]:
+    """Wall times of ``n`` back-to-back (plain, record) pairs.
+
+    Odd pairs run the recorded pass first, so neither side always
+    inherits the other's cache state.
+    """
+    plain_s, record_s = [], []
+    for i in range(n):
+        if i % 2:
+            record_s.append(_time(record))
+            plain_s.append(_time(plain))
+        else:
+            plain_s.append(_time(plain))
+            record_s.append(_time(record))
+    return plain_s, record_s
 
 
 def _tmin(fn, n: int) -> float:
@@ -62,10 +89,13 @@ def test_enabled_attestation_under_five_percent(record_report):
 
     attest()
     acc.forward_batch(xs)
-    wall_plain = _tmin(lambda: acc.forward_batch(xs), N_FORWARD)
-    wall_record = _tmin(
-        lambda: acc.forward_batch(xs, record=True), N_FORWARD
+    plain_s, record_s = _paired(
+        lambda: acc.forward_batch(xs),
+        lambda: acc.forward_batch(xs, record=True),
+        N_PAIRS,
     )
+    wall_plain = min(plain_s)
+    wall_record = min(record_s)
     wall_attest = _tmin(attest, N_ATTEST)
 
     # The timed loop must have exercised the clean rung only — a trip
@@ -77,7 +107,9 @@ def test_enabled_attestation_under_five_percent(record_report):
     )
 
     ratio = wall_attest / wall_plain
-    record_ratio = wall_record / wall_plain - 1.0
+    record_ratio = float(
+        np.median([r / p for p, r in zip(plain_s, record_s)])
+    ) - 1.0
     record_report(
         "integrity_overhead",
         "\n".join(
@@ -85,7 +117,8 @@ def test_enabled_attestation_under_five_percent(record_report):
                 f"forward_batch (B={BATCH}, dims {list(DIMS)}): "
                 f"{wall_plain * 1e3:.2f} ms",
                 f"forward_batch(record=True): {wall_record * 1e3:.2f} ms "
-                f"({record_ratio * +100:+.2f}% vs plain; bar "
+                f"({record_ratio * +100:+.2f}% vs plain, median of "
+                f"{N_PAIRS} interleaved pairs; bar "
                 f"{MAX_RECORD_OVERHEAD * 100:.0f}%)",
                 f"clean attest_batch: {wall_attest * 1e6:.1f} us/batch "
                 f"({ratio * 100:.2f}% of the pass; bar "

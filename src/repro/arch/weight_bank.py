@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.noise import NoiseModel
-from repro.devices.pcm_mrr import WeightCalibration, build_calibration
 from repro.devices.tuning import GSTTuning, TuningModel
 from repro.errors import (
     ConfigError,
@@ -94,7 +93,6 @@ class WeightBank:
         cols: int = 16,
         tuning: TuningModel | None = None,
         noise: NoiseModel | None = None,
-        calibration: WeightCalibration | None = None,
         crosstalk: np.ndarray | None = None,
         programming_noise_levels: float = 0.0,
         spare_rows: int = 0,
@@ -115,7 +113,6 @@ class WeightBank:
         self.convergence_floor = convergence_floor
         self.tuning = tuning if tuning is not None else GSTTuning()
         self.noise = noise if noise is not None else NoiseModel.ideal()
-        self._calibration = calibration
         self.levels = self.tuning.levels
         if programming_noise_levels < 0:
             raise ProgrammingError("programming noise must be non-negative")
@@ -149,14 +146,6 @@ class WeightBank:
         self.stats = BankStats()
 
     # ------------------------------------------------------------------
-    @property
-    def calibration(self) -> WeightCalibration:
-        """Physical-layer calibration (built lazily; only needed for
-        fraction-level queries, not for the level-domain hot path)."""
-        if self._calibration is None:
-            self._calibration = build_calibration()
-        return self._calibration
-
     @property
     def weight_step(self) -> float:
         """Smallest representable weight increment at this resolution."""
@@ -345,12 +334,6 @@ class WeightBank:
         if self._last_level_errors is None:
             return None
         return self._last_level_errors.copy()
-
-    @property
-    def unconverged_mask(self) -> np.ndarray:
-        """Physical-shape boolean mask of the last verified write's
-        unconverged cells (all False after a nominal write)."""
-        return self._unconverged_mask.copy()
 
     @property
     def active_row_map(self) -> np.ndarray:

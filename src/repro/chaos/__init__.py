@@ -46,7 +46,6 @@ from repro.chaos.plan import (
 )
 from repro.chaos.session import (
     ChaosSession,
-    active,
     corrupt_output,
     crash_check,
     disable,
@@ -81,7 +80,6 @@ __all__ = [
     "SCHEDULED_KINDS",
     "STORM_REASON",
     "SoakConfig",
-    "active",
     "apply_file_injection",
     "audit_serve_run",
     "capture_accounting",

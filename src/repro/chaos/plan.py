@@ -222,6 +222,10 @@ class ChaosPlan:
         return cls.from_dict(doc)
 
 
+#: Age [s] a drift burst hands each fault manager's retention-refresh check.
+DRIFT_AGE_S = 1e7
+
+
 @dataclasses.dataclass(frozen=True)
 class ChaosProfile:
     """Knobs for :func:`compile_plan`: how much chaos, where, over when.
@@ -242,7 +246,6 @@ class ChaosProfile:
     breaker_storms: int = 1
     stuck_fraction: float = 0.02
     stuck_level: int | None = None
-    drift_age_s: float = 1e7
     clock_jitter_s: float = 0.0
     corrupt_magnitude: float = 4.0
 
@@ -330,7 +333,7 @@ def compile_plan(profile: ChaosProfile, seed: int) -> ChaosPlan:
                 draw_t(),
                 "drift_burst",
                 draw_worker(),
-                {"age_s": float(profile.drift_age_s)},
+                {"age_s": DRIFT_AGE_S},
             )
         )
     for _ in range(profile.breaker_storms):

@@ -215,6 +215,7 @@ def _run_serve(seed: int, chaos_enabled: bool, sabotage: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 def _run_shard(seed: int, chaos_enabled: bool) -> dict:
     from repro.serving.shard_workload import (
+        ARRIVAL_WINDOW_S,
         ShardWorkloadConfig,
         outputs_bit_identical,
         plan_workload,
@@ -232,7 +233,7 @@ def _run_shard(seed: int, chaos_enabled: bool) -> dict:
     if chaos_enabled:
         plan = compile_plan(
             ChaosProfile(
-                window_s=config.arrival_window_s * 2.0,
+                window_s=ARRIVAL_WINDOW_S * 2.0,
                 stages=tuple(range(plan_workload(config).n_stages)),
                 crashes=1,
                 stuck_fraction=0.04,
@@ -498,6 +499,7 @@ def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
         make_sdc_plan,
         run_integrity_workload,
     )
+    from repro.integrity.workload import SILENT_CORRUPTIONS
 
     # Shrunk request count: soak cells must stay cheap, and the
     # attestation arc needs batches, not queue pressure.
@@ -517,8 +519,8 @@ def _run_sdc(seed: int, chaos_enabled: bool) -> dict:
     if chaos_enabled:
         audit.record(
             "sdc_injection",
-            n_injected >= config.silent_corruptions,
-            f"only {n_injected}/{config.silent_corruptions} silent "
+            n_injected >= SILENT_CORRUPTIONS,
+            f"only {n_injected}/{SILENT_CORRUPTIONS} silent "
             "corruptions landed inside the run",
         )
     else:

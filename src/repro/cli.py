@@ -677,7 +677,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.batch,
             slo_latency_s=args.slo_us * 1e-6,
             seed=args.seed,
-            executor_threads=args.threads,
         ),
     )
     out_path, metrics_path, events_path = _artifact_paths(
@@ -796,34 +795,26 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     """Resume an interrupted fault campaign from its checkpoint ledger.
 
-    With ``--smoke``, runs a self-contained crash-resume verification
+    With ``--smoke``, runs the soak ``resume`` cell (seed 0, chaos off)
     instead: a small campaign is run once uninterrupted, once halted
-    after a single cell and resumed, and the two final reports must be
+    after two cells and resumed, and the two final reports must be
     bit-identical (same rows, same clean accuracy).
     """
-    from repro.faults import CampaignConfig, resume_campaign, run_campaign
+    from repro.faults import resume_campaign
 
     if args.smoke:
-        import tempfile
+        from repro.chaos import run_cell
 
-        config = CampaignConfig.smoke()
-        baseline = run_campaign(config)
-        with tempfile.TemporaryDirectory() as directory:
-            partial = run_campaign(config, checkpoint_dir=directory, max_cells=1)
-            resumed = resume_campaign(directory)
-        same = (
-            resumed.complete
-            and not partial.complete
-            and baseline.clean_accuracy == resumed.clean_accuracy
-            and [r.as_dict() for r in baseline.rows]
-            == [r.as_dict() for r in resumed.rows]
-        )
+        cell = run_cell("resume", 0, repeats=1, chaos_enabled=False)
         print(
-            f"crash-resume smoke: halted after {len(partial.rows)} cell(s), "
-            f"resumed to {len(resumed.rows)}/{len(baseline.rows)}"
+            f"crash-resume smoke: resumed to {cell['detail']['cells']} "
+            f"cell(s), digest {cell['digest'][:16]}"
         )
-        print(f"bit-identical to uninterrupted run: {'OK' if same else 'MISMATCH'}")
-        return 0 if same else 1
+        verdict = "OK" if cell["ok"] else "MISMATCH"
+        print(f"bit-identical to uninterrupted run: {verdict}")
+        for failure in cell["failed_checks"]:
+            print(f"  FAIL  {failure}")
+        return 0 if cell["ok"] else 1
 
     if not args.checkpoint_dir:
         print("repro resume: --checkpoint-dir is required (or use --smoke)")
@@ -940,13 +931,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     scale-down observed, exactly one degraded episode, conservation.
     """
     from repro.fleet import (
-        SCENARIOS,
         fleet_smoke_checks,
         run_fleet_workload,
         smoke_chaos_plan,
+        smoke_scenario,
     )
 
-    scenario = SCENARIOS[args.scenario](args.seed)
+    scenario = smoke_scenario(args.seed)
     plan = None if args.no_chaos else smoke_chaos_plan(scenario)
 
     result = run_fleet_workload(scenario, controlled=True, chaos_plan=plan)
@@ -1186,8 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission queue depth bound")
     p.add_argument("--slo-us", type=float, default=10.0,
                    help="latency SLO in microseconds of virtual time")
-    p.add_argument("--threads", type=int, default=0,
-                   help="thread-pool size for batch execution (0 = inline)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="Chrome trace output (--smoke defaults to a temp dir)")
@@ -1274,10 +1263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet",
         help="closed-loop fleet control plane on a diurnal + burst trace",
-    )
-    p.add_argument(
-        "--scenario", choices=("smoke", "standard", "large"), default="smoke",
-        help="fleet scenario preset (default smoke)",
     )
     p.add_argument("--seed", type=int, default=11, help="workload seed")
     p.add_argument("--no-chaos", action="store_true",

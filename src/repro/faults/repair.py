@@ -18,7 +18,7 @@ includes the cheaper ones):
 
 Health is judged from readback only: a tile is healthy when its last
 verified write's worst |achieved - target| is within
-``tile_error_budget_levels``.  Every repair write flows through
+``TILE_ERROR_BUDGET_LEVELS``.  Every repair write flows through
 :meth:`~repro.arch.TridentAccelerator.reprogram_tile`, so repair
 energy/latency lands in ``BankStats`` / ``EventCounters`` / the
 ``energy_estimate_j`` / ``time_estimate_s`` roll-ups exactly like any
@@ -70,21 +70,23 @@ class RepairPolicy(enum.Enum):
             ) from exc
 
 
+#: Escalated-rewrite attempts per tile before moving up the ladder.
+RETRY_ATTEMPTS = 2
+#: Pulse-budget multiplier per retry (attempt k uses RETRY_BACKOFF**k).
+RETRY_BACKOFF = 2.0
+#: A tile is healthy when its last readback's worst |achieved-target| is
+#: within this many levels (well beyond verify tolerance but far below a
+#: stuck cell's typical error).
+TILE_ERROR_BUDGET_LEVELS = 4.0
+#: Remap a logical row once this many of its cells are flagged faulty.
+ROW_FAULT_THRESHOLD = 1
+
+
 @dataclass(frozen=True)
 class RepairConfig:
     """Knobs for the repair ladder."""
 
     policy: RepairPolicy = RepairPolicy.SPARE
-    #: Escalated-rewrite attempts per tile before moving up the ladder.
-    max_retries: int = 2
-    #: Pulse-budget multiplier per retry (attempt k uses backoff**k).
-    backoff: float = 2.0
-    #: A tile is healthy when its last readback's worst |achieved-target|
-    #: is within this many levels (default: well beyond verify tolerance
-    #: but far below a stuck cell's typical error).
-    tile_error_budget_levels: float = 4.0
-    #: Remap a logical row once this many of its cells are flagged faulty.
-    row_fault_threshold: int = 1
     #: Tile migrations allowed per repair sweep (PEs are the scarcest
     #: resource — a migration permanently consumes one).
     max_migrations: int = 1
@@ -95,16 +97,6 @@ class RepairConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", RepairPolicy.parse(self.policy))
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 1.0:
-            raise ConfigError(f"backoff must be >= 1, got {self.backoff}")
-        if self.tile_error_budget_levels <= 0:
-            raise ConfigError("tile error budget must be positive")
-        if self.row_fault_threshold < 1:
-            raise ConfigError(
-                f"row_fault_threshold must be >= 1, got {self.row_fault_threshold}"
-            )
         if self.max_migrations < 0:
             raise ConfigError(
                 f"max_migrations must be >= 0, got {self.max_migrations}"
@@ -194,7 +186,7 @@ class FaultManager:
         if errors is None:
             # Never verified: no evidence of trouble (NONE-policy banks).
             return True
-        return float(np.max(errors, initial=0.0)) <= self.config.tile_error_budget_levels
+        return float(np.max(errors, initial=0.0)) <= TILE_ERROR_BUDGET_LEVELS
 
     def _repaired(self, tier: str, layer_index: int, tile_index: int) -> None:
         """Record one successful repair (log line, counter, event)."""
@@ -217,8 +209,8 @@ class FaultManager:
 
         # Tier 1: retry with an escalating pulse budget.  Clears transient
         # non-convergence; stuck cells ignore pulses and stay flagged.
-        for attempt in range(1, self.config.max_retries + 1):
-            writer = self.acc.verify_writer.escalated(self.config.backoff**attempt)
+        for attempt in range(1, RETRY_ATTEMPTS + 1):
+            writer = self.acc.verify_writer.escalated(RETRY_BACKOFF**attempt)
             self.acc.reprogram_tile(layer_index, tile_index, writer=writer)
             self.log.retries += 1
             if self._tile_healthy(self._pe_of(layer_index, tile_index)):
@@ -294,7 +286,7 @@ class FaultManager:
             (
                 row
                 for row in range(r1 - r0)
-                if counts[row] >= self.config.row_fault_threshold
+                if counts[row] >= ROW_FAULT_THRESHOLD
             ),
             key=lambda row: -counts[row],
         )

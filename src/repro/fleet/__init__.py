@@ -24,15 +24,12 @@ from repro.fleet.trace import (
 from repro.fleet.workload import (
     FleetRunResult,
     FleetScenario,
-    SCENARIOS,
     fleet_digest,
     fleet_smoke_checks,
-    large_scenario,
     peak_fleet_size,
     run_fleet_workload,
     smoke_chaos_plan,
     smoke_scenario,
-    standard_scenario,
     window_p99_latency_s,
 )
 
@@ -44,19 +41,16 @@ __all__ = [
     "FleetRunResult",
     "FleetScenario",
     "LADDER",
-    "SCENARIOS",
     "TenantSpec",
     "TraceConfig",
     "WORKER_STATES",
     "WorkerPool",
     "fleet_digest",
     "fleet_smoke_checks",
-    "large_scenario",
     "peak_fleet_size",
     "run_fleet_workload",
     "smoke_chaos_plan",
     "smoke_scenario",
-    "standard_scenario",
     "state_digest",
     "synthesize_trace",
     "window_p99_latency_s",

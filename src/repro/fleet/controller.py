@@ -8,10 +8,10 @@ telemetry session — decisions must not depend on whether tracing is
 enabled), decides, and actuates through the server's public surface:
 
 - **Autoscaling with hysteresis** — proportional scale-up sized from
-  the windowed demand estimate after ``scale_up_breach_ticks``
+  the windowed demand estimate after ``SCALE_UP_BREACH_TICKS``
   consecutive red ticks (new workers warm up before taking traffic);
   scale-down drains one worker at a time only after
-  ``scale_down_clear_ticks`` consecutive green low-utilization ticks,
+  ``SCALE_DOWN_CLEAR_TICKS`` consecutive green low-utilization ticks,
   and a decommission waits for in-flight batches and checkpoints bank
   state.  Separate breach/clear counters plus per-direction cooldowns
   are what stop the loop from thrashing at a capacity boundary.
@@ -51,6 +51,40 @@ from repro.telemetry.session import (
 #: controller's ``rung`` state; 0 is nominal operation.
 LADDER = ("nominal", "tight_batch", "shed_low", "freeze_training", "brownout")
 
+#: Utilization headroom scale-up sizes toward (fraction of capacity).
+TARGET_UTILIZATION = 0.8
+# -- scale-up hysteresis ----------------------------------------------
+SCALE_UP_ATTAINMENT = 0.92
+SCALE_UP_QUEUE_FRAC = 0.5
+#: Proactive trigger: scale up when windowed demand exceeds this fraction
+#: of active capacity, *before* attainment breaks.  A step burst costs one
+#: detection tick regardless; this keeps the slower diurnal ramp from ever
+#: eating into the SLO.
+SCALE_UP_UTILIZATION = 0.9
+SCALE_UP_BREACH_TICKS = 1
+SCALE_UP_COOLDOWN_TICKS = 1
+# -- scale-down hysteresis --------------------------------------------
+SCALE_DOWN_UTILIZATION = 0.4
+SCALE_DOWN_CLEAR_TICKS = 3
+SCALE_DOWN_COOLDOWN_TICKS = 2
+# -- degraded-mode ladder ---------------------------------------------
+DEGRADED_ENTER_TICKS = 2
+DEGRADED_EXIT_TICKS = 2
+#: TIGHT_BATCH shrinks the micro-batch SLO target by this factor.
+TIGHT_BATCH_SLO_FACTOR = 0.5
+#: SHED_LOW admission floor; BROWNOUT raises it further.
+SHED_LOW_FLOOR = 1
+BROWNOUT_FLOOR = 2
+# -- tenant rebalancing -----------------------------------------------
+REBALANCE_SHED_RATE = 0.30
+REBALANCE_MAX_BOOST = 2
+#: Escalated ABFT attestation failures a single worker may rack up in one
+#: rollup window before the controller force-trips its breaker.  The
+#: breaker's own failure threshold catches fast bursts on its shorter
+#: memory; this catches the slow corrupter whose occasional escalations
+#: keep slipping past it.
+SDC_QUARANTINE_COUNT = 3
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -66,46 +100,14 @@ class ControllerConfig:
     max_workers: int = 16
     #: Warm-up delay before a commissioned worker takes traffic.
     warmup_s: float = 5e-6
-    #: Utilization headroom scale-up sizes toward (fraction of capacity).
-    target_utilization: float = 0.8
-    # -- scale-up hysteresis -----------------------------------------
-    scale_up_attainment: float = 0.92
-    scale_up_queue_frac: float = 0.5
-    #: Proactive trigger: scale up when windowed demand exceeds this
-    #: fraction of active capacity, *before* attainment breaks.  A step
-    #: burst costs one detection tick regardless; this keeps the slower
-    #: diurnal ramp from ever eating into the SLO.
-    scale_up_utilization: float = 0.9
-    scale_up_breach_ticks: int = 1
-    scale_up_cooldown_ticks: int = 1
-    # -- scale-down hysteresis ---------------------------------------
-    scale_down_utilization: float = 0.4
-    scale_down_clear_ticks: int = 3
-    scale_down_cooldown_ticks: int = 2
-    # -- degraded-mode ladder ----------------------------------------
+    #: Degraded-mode ladder: climb below the enter attainment, step down
+    #: at or above the exit attainment.
     degraded_enter_attainment: float = 0.45
-    degraded_enter_ticks: int = 2
     degraded_exit_attainment: float = 0.90
-    degraded_exit_ticks: int = 2
-    #: TIGHT_BATCH shrinks the micro-batch SLO target by this factor.
-    tight_batch_slo_factor: float = 0.5
-    #: SHED_LOW admission floor; BROWNOUT raises it further.
-    shed_low_floor: int = 1
-    brownout_floor: int = 2
     # -- power model --------------------------------------------------
     per_worker_power_w: float = 0.025
     power_budget_w: float = 1.0
     brownout_power_fraction: float = 0.5
-    # -- tenant rebalancing -------------------------------------------
-    rebalance_shed_rate: float = 0.30
-    rebalance_max_boost: int = 2
-    # -- SDC quarantine -----------------------------------------------
-    #: Escalated ABFT attestation failures a single worker may rack up
-    #: in one rollup window before the controller force-trips its
-    #: breaker.  The breaker's own failure threshold catches fast bursts
-    #: on its shorter memory; this catches the slow corrupter whose
-    #: occasional escalations keep slipping past it.
-    sdc_quarantine_count: int = 3
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0 or self.window_s <= 0:
@@ -115,22 +117,13 @@ class ControllerConfig:
                 f"need 1 <= min_workers <= max_workers, got "
                 f"{self.min_workers}..{self.max_workers}"
             )
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ServingError("target utilization must be in (0, 1]")
         if self.degraded_exit_attainment <= self.degraded_enter_attainment:
             raise ServingError(
                 "degraded exit threshold must exceed the enter threshold "
                 "(that gap is the ladder's hysteresis)"
             )
-        if not 0.0 < self.tight_batch_slo_factor <= 1.0:
-            raise ServingError("tight-batch SLO factor must be in (0, 1]")
         if self.per_worker_power_w <= 0 or self.power_budget_w <= 0:
             raise ServingError("power model values must be positive")
-        if self.sdc_quarantine_count < 1:
-            raise ServingError(
-                f"SDC quarantine count must be >= 1, "
-                f"got {self.sdc_quarantine_count}"
-            )
 
     def power_cap_workers(self, rung: int) -> int:
         """Fleet-size ceiling the power budget allows at ``rung``."""
@@ -272,12 +265,11 @@ class FleetController:
         until the half-open probe's repair sweep — which rewrites and
         recalibrates its checksum rows — proves it clean again.
         """
-        threshold = self.config.sdc_quarantine_count
         for wid in sorted(stats.sdc_by_worker):
             count = stats.sdc_by_worker[wid]
             breaker = server.breakers.get(wid)
             if (
-                count >= threshold
+                count >= SDC_QUARANTINE_COUNT
                 and breaker is not None
                 and breaker.state is BreakerState.CLOSED
             ):
@@ -296,17 +288,17 @@ class FleetController:
         self._down_cooldown = max(0, self._down_cooldown - 1)
 
         red = (
-            stats.attainment < cfg.scale_up_attainment
-            or utilization > cfg.scale_up_utilization
+            stats.attainment < SCALE_UP_ATTAINMENT
+            or utilization > SCALE_UP_UTILIZATION
             or stats.last_queue_depth
-            >= cfg.scale_up_queue_frac * server.queue.max_depth
+            >= SCALE_UP_QUEUE_FRAC * server.queue.max_depth
         )
         self._breach_ticks = self._breach_ticks + 1 if red else 0
 
         healthy = server.serving_worker_count()
         ceiling = min(cfg.max_workers, cfg.power_cap_workers(self.rung))
         if (
-            self._breach_ticks >= cfg.scale_up_breach_ticks
+            self._breach_ticks >= SCALE_UP_BREACH_TICKS
             and self._up_cooldown == 0
             and n_rising < ceiling
         ):
@@ -314,7 +306,7 @@ class FleetController:
             # demand at target utilization, with breaker-opened capacity
             # (a storm, a crash wave) counted as missing.
             needed = math.ceil(
-                demand_hz / (cfg.target_utilization * per_worker_hz)
+                demand_hz / (TARGET_UTILIZATION * per_worker_hz)
             )
             needed += n_active - healthy
             target = min(ceiling, max(needed, n_rising + 1))
@@ -326,7 +318,7 @@ class FleetController:
                 ]
                 self.provision_wall_s += time.perf_counter() - t0
                 self.scale_up_events += 1
-                self._up_cooldown = cfg.scale_up_cooldown_ticks
+                self._up_cooldown = SCALE_UP_COOLDOWN_TICKS
                 self._breach_ticks = 0
                 self._actuate(
                     "scale_up",
@@ -342,18 +334,18 @@ class FleetController:
             self.rung == 0
             and stats.attainment >= cfg.degraded_exit_attainment
             and not red
-            and utilization < cfg.scale_down_utilization
+            and utilization < SCALE_DOWN_UTILIZATION
             and n_active > cfg.min_workers
         )
         self._clear_ticks = self._clear_ticks + 1 if green else 0
         if (
-            self._clear_ticks >= cfg.scale_down_clear_ticks
+            self._clear_ticks >= SCALE_DOWN_CLEAR_TICKS
             and self._down_cooldown == 0
         ):
             victim = max(self.pool.ids_in("active"))
             self.pool.begin_drain(victim)
             self.scale_down_events += 1
-            self._down_cooldown = cfg.scale_down_cooldown_ticks
+            self._down_cooldown = SCALE_DOWN_COOLDOWN_TICKS
             self._clear_ticks = 0
             self._actuate(
                 "scale_down",
@@ -383,7 +375,7 @@ class FleetController:
         else:
             self._ladder_bad = 0
             self._ladder_good = 0
-        if self._ladder_bad >= cfg.degraded_enter_ticks:
+        if self._ladder_bad >= DEGRADED_ENTER_TICKS:
             if self.rung < len(LADDER) - 1:
                 self._set_rung(
                     self.rung + 1,
@@ -391,7 +383,7 @@ class FleetController:
                     f"{cfg.degraded_enter_attainment}",
                 )
             self._ladder_bad = 0
-        elif self._ladder_good >= cfg.degraded_exit_ticks and self.rung > 0:
+        elif self._ladder_good >= DEGRADED_EXIT_TICKS and self.rung > 0:
             self._set_rung(
                 self.rung - 1,
                 reason=f"attainment {stats.attainment:.3f} >= "
@@ -428,16 +420,16 @@ class FleetController:
 
         slo = self.base_batch_slo_s
         if self.rung >= LADDER.index("tight_batch"):
-            slo = self.base_batch_slo_s * cfg.tight_batch_slo_factor
+            slo = self.base_batch_slo_s * TIGHT_BATCH_SLO_FACTOR
         if server.batcher.slo_latency_s != slo:
             server.batcher.slo_latency_s = slo
             self._actuate("batch_slo", slo_s=slo, rung=rung_name)
 
         floor: int | None = None
         if self.rung >= LADDER.index("shed_low"):
-            floor = cfg.shed_low_floor
+            floor = SHED_LOW_FLOOR
         if rung_name == "brownout":
-            floor = cfg.brownout_floor
+            floor = BROWNOUT_FLOOR
         if server.min_priority != floor:
             server.min_priority = floor
             self._actuate("admission_floor", floor=floor, rung=rung_name)
@@ -463,17 +455,16 @@ class FleetController:
     # Tenant rebalancing
     # ------------------------------------------------------------------
     def _drive_rebalancing(self, server, stats) -> None:
-        cfg = self.config
         if self.rung != 0:
             return  # degraded mode owns the priority policy
-        fleet_green = stats.attainment >= cfg.scale_up_attainment
+        fleet_green = stats.attainment >= SCALE_UP_ATTAINMENT
         for tenant in sorted(stats.terminated_by_tenant):
             rate = stats.tenant_shed_rate(tenant)
             boost = server.tenant_boost.get(tenant, 0)
             if (
                 fleet_green
-                and rate > cfg.rebalance_shed_rate
-                and boost < cfg.rebalance_max_boost
+                and rate > REBALANCE_SHED_RATE
+                and boost < REBALANCE_MAX_BOOST
             ):
                 server.tenant_boost[tenant] = boost + 1
                 self._actuate(
@@ -482,7 +473,7 @@ class FleetController:
                     boost=boost + 1,
                     shed_rate=round(rate, 4),
                 )
-            elif boost > 0 and rate <= cfg.rebalance_shed_rate / 2:
+            elif boost > 0 and rate <= REBALANCE_SHED_RATE / 2:
                 if boost - 1 == 0:
                     del server.tenant_boost[tenant]
                 else:

@@ -85,6 +85,7 @@ class Burst:
         return self.start_s <= t_s < self.end_s
 
 
+#: The tenant mix every trace draws from.
 DEFAULT_TENANTS = (
     TenantSpec("free", weight=0.55, priority=0, deadline_fraction=0.9),
     TenantSpec("pro", weight=0.30, priority=1, deadline_fraction=0.95),
@@ -108,13 +109,11 @@ class TraceConfig:
     #: Mean offered load, in worker-equivalents.
     base_rate_x: float
     #: Diurnal modulation depth in [0, 1): rate spans
-    #: ``base * (1 - amp)`` (trough) to ``base * (1 + amp)`` (peak).
+    #: ``base * (1 - amp)`` (trough) to ``base * (1 + amp)`` (peak) over
+    #: one day-cycle of ``duration_s`` (trough at both ends, peak
+    #: mid-horizon).
     diurnal_amplitude: float = 0.8
-    #: Diurnal period; defaults to ``duration_s`` (one full day-cycle,
-    #: trough at both ends, peak mid-horizon).
-    period_s: float | None = None
     bursts: tuple[Burst, ...] = ()
-    tenants: tuple[TenantSpec, ...] = DEFAULT_TENANTS
     seed: int = 0
     #: Hard cap on synthesized arrivals (guards a mistyped rate).
     max_requests: int = 2_000_000
@@ -129,10 +128,6 @@ class TraceConfig:
                 f"diurnal amplitude must be in [0, 1), got "
                 f"{self.diurnal_amplitude}"
             )
-        if self.period_s is not None and self.period_s <= 0:
-            raise ServingError("diurnal period must be positive")
-        if not self.tenants:
-            raise ServingError("trace needs at least one tenant")
         for burst in self.bursts:
             if burst.start_s >= self.duration_s:
                 raise ServingError(
@@ -142,9 +137,8 @@ class TraceConfig:
     # -- rate envelope -------------------------------------------------
     def rate_x(self, t_s: float) -> float:
         """Offered load at ``t_s`` in worker-equivalents."""
-        period = self.period_s if self.period_s is not None else self.duration_s
         diurnal = 1.0 - self.diurnal_amplitude * math.cos(
-            2.0 * math.pi * t_s / period
+            2.0 * math.pi * t_s / self.duration_s
         )
         gain = 1.0
         for burst in self.bursts:
@@ -180,7 +174,7 @@ def synthesize_trace(
     if unit_rate_hz <= 0:
         raise ServingError("unit rate must be positive")
     rng = np.random.default_rng(config.seed)
-    weights = np.array([t.weight for t in config.tenants], dtype=float)
+    weights = np.array([t.weight for t in DEFAULT_TENANTS], dtype=float)
     weights /= weights.sum()
     envelope_hz = config.peak_rate_x() * unit_rate_hz
     requests: list[InferenceRequest] = []
@@ -193,7 +187,7 @@ def synthesize_trace(
         # Thinning: accept with probability rate(t) / envelope.
         if float(rng.random()) * envelope_hz > config.rate_x(t) * unit_rate_hz:
             continue
-        tenant = config.tenants[int(rng.choice(len(config.tenants), p=weights))]
+        tenant = DEFAULT_TENANTS[int(rng.choice(len(DEFAULT_TENANTS), p=weights))]
         deadline = (
             t + slo_latency_s
             if float(rng.random()) < tenant.deadline_fraction

@@ -1,4 +1,4 @@
-"""End-to-end fleet runs: scenario presets, the runner, and the smoke gate.
+"""End-to-end fleet runs: the smoke scenario, the runner, and the smoke gate.
 
 A fleet run wires the whole control plane together: a
 :class:`~repro.fleet.pool.WorkerPool` bootstraps the initial fleet, a
@@ -56,14 +56,6 @@ class FleetScenario:
             )
 
 
-def _server_config(seed: int, max_queue_depth: int = 4096) -> ServerConfig:
-    # The cooldown is long enough (3 controller ticks) that a breaker
-    # storm opens a real capacity hole the degraded ladder has to ride out.
-    return ServerConfig(
-        max_queue_depth=max_queue_depth, breaker_cooldown_s=3e-5, seed=seed
-    )
-
-
 def smoke_scenario(seed: int = 11) -> FleetScenario:
     """The CI gate: 2 -> ~8 workers, one burst, one mid-peak storm."""
     duration = 1e-3
@@ -77,7 +69,12 @@ def smoke_scenario(seed: int = 11) -> FleetScenario:
             bursts=(Burst(0.38 * duration, 0.08 * duration, 1.7),),
             seed=seed,
         ),
-        server=_server_config(seed),
+        # The cooldown is long enough (3 controller ticks) that a breaker
+        # storm opens a real capacity hole the degraded ladder has to
+        # ride out.
+        server=ServerConfig(
+            max_queue_depth=4096, breaker_cooldown_s=3e-5, seed=seed
+        ),
         controller=ControllerConfig(
             interval_s=5e-6,
             window_s=1.5e-5,
@@ -87,63 +84,6 @@ def smoke_scenario(seed: int = 11) -> FleetScenario:
             power_budget_w=0.25,
         ),
     )
-
-
-def standard_scenario(seed: int = 11) -> FleetScenario:
-    """A mid-size run for local exploration (4 -> ~32 workers)."""
-    duration = 6e-4
-    return FleetScenario(
-        name="standard",
-        initial_workers=4,
-        seed=seed,
-        trace=TraceConfig(
-            duration_s=duration,
-            base_rate_x=6.0,
-            bursts=(Burst(0.38 * duration, 0.08 * duration, 2.0),),
-            seed=seed,
-        ),
-        server=_server_config(seed),
-        controller=ControllerConfig(
-            interval_s=6e-6,
-            window_s=1.8e-5,
-            min_workers=4,
-            max_workers=32,
-            warmup_s=3e-6,
-            power_budget_w=1.0,
-        ),
-    )
-
-
-def large_scenario(seed: int = 11) -> FleetScenario:
-    """The hundreds-of-workers run the tentpole is sized for."""
-    duration = 2.5e-4
-    return FleetScenario(
-        name="large",
-        initial_workers=48,
-        seed=seed,
-        trace=TraceConfig(
-            duration_s=duration,
-            base_rate_x=64.0,
-            bursts=(Burst(0.38 * duration, 0.08 * duration, 1.5),),
-            seed=seed,
-        ),
-        server=_server_config(seed, max_queue_depth=16384),
-        controller=ControllerConfig(
-            interval_s=5e-6,
-            window_s=1.5e-5,
-            min_workers=48,
-            max_workers=256,
-            warmup_s=2.5e-6,
-            power_budget_w=8.0,
-        ),
-    )
-
-
-SCENARIOS = {
-    "smoke": smoke_scenario,
-    "standard": standard_scenario,
-    "large": large_scenario,
-}
 
 
 def smoke_chaos_plan(scenario: FleetScenario):

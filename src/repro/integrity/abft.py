@@ -49,13 +49,17 @@ from repro.arch.control import RangeNormalizer
 from repro.errors import IntegrityError
 
 
+#: Samples per seeded calibration batch.
+CALIBRATION_BATCH_SIZE = 32
+
+
 @dataclasses.dataclass(frozen=True)
 class IntegrityConfig:
     """Knobs for checksum attachment and tolerance calibration."""
 
-    #: Seeded calibration pass: batches x batch size of uniform inputs.
+    #: Seeded calibration pass: batches x ``CALIBRATION_BATCH_SIZE``
+    #: uniform inputs.
     calibration_batches: int = 4
-    calibration_batch_size: int = 32
     #: Half-width of the uniform calibration input distribution.
     calibration_input_scale: float = 1.5
     #: Multiplier on the worst calibration residual (noise headroom).
@@ -69,10 +73,8 @@ class IntegrityConfig:
     quant_margin_levels: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.calibration_batches < 1 or self.calibration_batch_size < 1:
-            raise IntegrityError(
-                "calibration needs at least one batch of at least one sample"
-            )
+        if self.calibration_batches < 1:
+            raise IntegrityError("calibration needs at least one batch")
         if self.calibration_input_scale <= 0:
             raise IntegrityError("calibration input scale must be positive")
         if self.margin < 1.0:
@@ -352,7 +354,7 @@ class ChecksumUnit:
             xs = rng.uniform(
                 -cfg.calibration_input_scale,
                 cfg.calibration_input_scale,
-                (cfg.calibration_batch_size, in_dim),
+                (CALIBRATION_BATCH_SIZE, in_dim),
             )
             acc.forward_batch(xs, record=True)
             worst_analog = np.maximum(worst_analog, self.analog_residuals())

@@ -39,7 +39,19 @@ import functools
 import numpy as np
 
 from repro.errors import IntegrityError
-from repro.integrity.abft import IntegrityConfig
+
+
+#: Arrival rate as a multiple of the fleet's sustainable rate — kept
+#: under 1.0 so the run exercises attestation, not shedding.
+RATE_MULTIPLIER = 0.6
+#: Realized-level upsets per data tile in the escalation scenario, and
+#: their size in levels.
+UPSET_CELLS = 48
+UPSET_DELTA = 0.6
+#: ``silent_corrupt`` injections compiled into the chaos scenario, and
+#: their size.
+SILENT_CORRUPTIONS = 2
+CORRUPT_MAGNITUDE = 4.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,16 +62,6 @@ class IntegrityWorkloadConfig:
     n_workers: int = 2
     seed: int = 7
     n_requests: int = 160
-    #: Arrival rate as a multiple of the fleet's sustainable rate —
-    #: kept under 1.0 so the run exercises attestation, not shedding.
-    rate_multiplier: float = 0.6
-    #: ``silent_corrupt`` injections compiled into the chaos scenario.
-    silent_corruptions: int = 2
-    corrupt_magnitude: float = 4.0
-    #: Realized-level upsets per data tile in the escalation scenario.
-    upset_cells: int = 48
-    upset_delta: float = 0.6
-    integrity: IntegrityConfig = IntegrityConfig()
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
@@ -70,14 +72,6 @@ class IntegrityWorkloadConfig:
             raise IntegrityError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.n_requests < 1:
             raise IntegrityError(f"n_requests must be >= 1, got {self.n_requests}")
-        if self.rate_multiplier <= 0:
-            raise IntegrityError("rate multiplier must be positive")
-        if self.silent_corruptions < 0:
-            raise IntegrityError("silent_corruptions must be >= 0")
-        if self.upset_cells < 1:
-            raise IntegrityError("upset_cells must be >= 1")
-        if not 0.0 < self.upset_delta <= 2.0:
-            raise IntegrityError("upset_delta must be in (0, 2]")
 
 
 def build_integrity_worker(
@@ -86,7 +80,6 @@ def build_integrity_worker(
     seed: int,
     *,
     with_integrity: bool = True,
-    integrity_config: IntegrityConfig | None = None,
 ):
     """The serving worker plus an attached ABFT checker.
 
@@ -102,9 +95,7 @@ def build_integrity_worker(
     if with_integrity:
         from repro.integrity.checker import IntegrityChecker
 
-        worker.integrity = IntegrityChecker(
-            worker.acc, config=integrity_config, seed=seed
-        )
+        worker.integrity = IntegrityChecker(worker.acc, seed=seed)
     return worker
 
 
@@ -117,7 +108,7 @@ def synthesize_integrity_arrivals(
 
     requests = []
     t = 0.0
-    lam = rate_hz * config.rate_multiplier
+    lam = rate_hz * RATE_MULTIPLIER
     n_in = config.dims[0]
     for request_id in range(config.n_requests):
         t += float(rng.exponential(1.0 / lam))
@@ -151,8 +142,8 @@ def make_sdc_plan(config: IntegrityWorkloadConfig, window_s: float):
         stuck_bursts=0,
         drift_bursts=0,
         breaker_storms=0,
-        silent_corruptions=config.silent_corruptions,
-        corrupt_magnitude=config.corrupt_magnitude,
+        silent_corruptions=SILENT_CORRUPTIONS,
+        corrupt_magnitude=CORRUPT_MAGNITUDE,
     )
     return compile_plan(profile, 20_000 + config.seed)
 
@@ -169,9 +160,7 @@ def _upset_worker(worker, config: IntegrityWorkloadConfig) -> int:
     for layer in acc.layers:
         for tile in layer.tiles:
             bank = acc.pes[tile[4]].bank
-            upset += bank.upset_cells(
-                config.upset_cells, rng, delta=config.upset_delta
-            )
+            upset += bank.upset_cells(UPSET_CELLS, rng, delta=UPSET_DELTA)
     return upset
 
 
@@ -204,7 +193,6 @@ def run_integrity_workload(
             config.dims,
             config.seed + 101 * i,
             with_integrity=with_integrity,
-            integrity_config=config.integrity,
         )
         for i in range(config.n_workers)
     ]
@@ -300,7 +288,7 @@ def smoke_checks(
     checks.append(
         (
             "all injected silent corruptions landed",
-            applied == config.silent_corruptions > 0,
+            applied == SILENT_CORRUPTIONS,
         )
     )
     checks.append(

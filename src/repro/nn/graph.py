@@ -105,11 +105,6 @@ class Network:
         except KeyError:
             raise ShapeError(f"no layer named {name!r}") from None
 
-    @property
-    def layer_names(self) -> list[str]:
-        """Layer names in insertion (topological) order."""
-        return list(self._order)
-
     def inputs_of(self, name: str) -> list[str]:
         """Names of a node's inputs."""
         return list(self._inputs[name])

@@ -98,7 +98,7 @@ class LayerSpec:
             raise ShapeError(f"{self.name}: expected 1 input, got {len(inputs)}")
         return inputs[0]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
 

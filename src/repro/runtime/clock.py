@@ -62,5 +62,5 @@ class VirtualClock:
         self._now_s = float(t_s)
         return self._now_s
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"VirtualClock(t={self._now_s!r})"

@@ -55,6 +55,12 @@ _CHECKPOINT_KIND = "training"
 _log = get_logger("repro.runtime.resilient")
 
 
+#: Number of recent losses the spike detector medians over.
+SPIKE_WINDOW = 5
+#: Checkpoints retained on disk.
+KEEP_LAST = 3
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs for the checkpoint/rollback harness."""
@@ -70,10 +76,6 @@ class ResilienceConfig:
     #: A finite loss counts as divergence above this multiple of the
     #: recent-median loss (guards against blow-ups that never reach inf).
     spike_factor: float = 25.0
-    #: Number of recent losses the spike detector medians over.
-    spike_window: int = 5
-    #: Checkpoints retained on disk.
-    keep_last: int = 3
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -92,10 +94,6 @@ class ResilienceConfig:
             raise ConfigError(
                 f"spike_factor must exceed 1, got {self.spike_factor}"
             )
-        if self.spike_window < 1:
-            raise ConfigError(f"spike_window must be >= 1, got {self.spike_window}")
-        if self.keep_last < 1:
-            raise ConfigError(f"keep_last must be >= 1, got {self.keep_last}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ class ResilientTrainer:
     ) -> None:
         self.trainer = trainer
         self.config = config or ResilienceConfig()
-        self.store = CheckpointStore(checkpoint_dir, keep_last=self.config.keep_last)
+        self.store = CheckpointStore(checkpoint_dir, keep_last=KEEP_LAST)
         self.manager = manager
         self.step_hook = step_hook
         self._last_payload: dict | None = None
@@ -262,7 +260,7 @@ class ResilientTrainer:
         """Reason string if this step's loss means divergence, else None."""
         if not np.isfinite(loss):
             return "non-finite loss"
-        window = [v for v in losses[-self.config.spike_window :] if np.isfinite(v)]
+        window = [v for v in losses[-SPIKE_WINDOW:] if np.isfinite(v)]
         if window:
             baseline = float(np.median(window))
             if baseline > 0 and loss > self.config.spike_factor * baseline:

@@ -24,9 +24,10 @@ Robustness ladder, outermost first:
 3. **Retry with backoff** — a batch that fails on a degraded worker
    hands its requests back for exponential-backoff + jittered retry,
    bounded by the retry budget (``retries_exhausted``).
-4. **Circuit breaking** — repeated failures or an over-threshold health
-   signal quarantine the worker; half-open probes (preceded by a
-   fault-manager repair attempt) restore it.
+4. **Circuit breaking** — repeated failures (a worker whose health
+   signal is over threshold fails every batch) quarantine the worker;
+   half-open probes (preceded by a fault-manager repair attempt) restore
+   it.
 5. **Graceful drain** — if every worker is dead and nothing is in
    flight, the residual queue sheds as ``no_worker`` instead of hanging.
 
@@ -41,7 +42,6 @@ import dataclasses
 import hashlib
 import heapq
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +74,11 @@ LATENCY_BUCKETS = (
     1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
     1e-4, 1e-3, 1e-2, 0.1, 1.0,
 )
+#: First retry delay [s].
+RETRY_BACKOFF_S = 5e-7
+#: Uniform jitter added to each retry delay [s] (decorrelates thundering
+#: herds; drawn from the server's seeded generator).
+RETRY_JITTER_S = 1e-7
 
 
 @dataclass(frozen=True)
@@ -88,22 +93,15 @@ class ServerConfig:
     slo_latency_s: float = 1e-5
     #: Execution attempts per request beyond the first.
     max_retries: int = 2
-    #: First retry delay; attempt k waits ``backoff * factor**(k-1)``.
-    retry_backoff_s: float = 5e-7
+    #: Retry delay growth: attempt k waits
+    #: ``RETRY_BACKOFF_S * factor**(k-1)`` plus jitter.
     retry_backoff_factor: float = 2.0
-    #: Uniform jitter added to each retry delay (decorrelates thundering
-    #: herds; drawn from the server's seeded generator).
-    retry_jitter_s: float = 1e-7
     #: Consecutive batch failures before a worker's breaker opens.
     breaker_failure_threshold: int = 3
     #: Quarantine length before a half-open probe.
     breaker_cooldown_s: float = 2e-5
     #: Seed for the retry-jitter generator.
     seed: int = 0
-    #: When > 0, batch executions run on a thread pool of this size
-    #: (scheduling stays single-threaded and decisions are unchanged —
-    #: only the numpy work fans out).
-    executor_threads: int = 0
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -120,16 +118,10 @@ class ServerConfig:
             raise ServingError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.retry_backoff_s < 0 or self.retry_jitter_s < 0:
-            raise ServingError("retry backoff and jitter must be non-negative")
         if self.retry_backoff_factor < 1.0:
             raise ServingError(
                 f"retry_backoff_factor must be >= 1, got "
                 f"{self.retry_backoff_factor}"
-            )
-        if self.executor_threads < 0:
-            raise ServingError(
-                f"executor_threads must be >= 0, got {self.executor_threads}"
             )
 
 
@@ -338,7 +330,6 @@ class TridentServer:
         self._ingest_events: list[tuple[float, int]] = []
         self._event_seq = 0
         self._decision_seq = 0
-        self._pool: ThreadPoolExecutor | None = None
         # -- results ----------------------------------------------------
         self.decisions: list[dict] = []
         self.breaker_transitions: list[dict] = []
@@ -790,12 +781,9 @@ class TridentServer:
             for request in batch:
                 self._maybe_retry(request)
             return
-        # Health-signal trip: even a nominally successful batch does not
-        # keep a worker whose readback says it is degrading in rotation.
-        if not worker.healthy:
-            breaker.trip(now, "health_signal")
-        else:
-            breaker.record_success(now)
+        # No health check here: ``execute`` fails a batch on an unhealthy
+        # worker, and nothing that ran since can reprogram a bank.
+        breaker.record_success(now)
         latency_histogram = _metric_histogram(
             "repro_serve_latency_seconds",
             "Arrival-to-completion latency of served requests",
@@ -841,9 +829,9 @@ class TridentServer:
             )
             return
         delay = (
-            self.config.retry_backoff_s
+            RETRY_BACKOFF_S
             * self.config.retry_backoff_factor ** (attempts - 1)
-            + self.config.retry_jitter_s * float(self.rng.random())
+            + RETRY_JITTER_S * float(self.rng.random())
         )
         release = now + delay
         if request.deadline_s is not None and release > request.deadline_s:
@@ -937,28 +925,18 @@ class TridentServer:
     def _run_completions(self, due: list[tuple]) -> None:
         """Execute and settle a set of same-instant batch completions.
 
-        Execution (the numpy work) happens first — serially or on the
-        thread pool — then outcomes settle in event order, so threading
-        changes neither the decision log nor any output.
+        Every batch executes first, then outcomes settle in event order.
         """
         worker_by_id = {w.worker_id: w for w in self.workers}
-        jobs = []
-        for _, seq, wid, batch, dispatch_s in due:
-            jobs.append((seq, worker_by_id[wid], batch, dispatch_s))
-
-        def run(job):
-            _, worker, batch, _ = job
+        outcomes = []
+        for _, _, wid, batch, dispatch_s in due:
+            worker = worker_by_id[wid]
             try:
-                return self._execute(worker, batch)
+                outcome = self._execute(worker, batch)
             except WorkerFault as fault:
-                return fault
-
-        if self._pool is not None and len(jobs) > 1:
-            outcomes = list(self._pool.map(run, jobs))
-        else:
-            outcomes = [run(job) for job in jobs]
-        for job, outcome in zip(jobs, outcomes):
-            _, worker, batch, dispatch_s = job
+                outcome = fault
+            outcomes.append((worker, batch, dispatch_s, outcome))
+        for worker, batch, dispatch_s, outcome in outcomes:
             self._process_completion(worker, batch, dispatch_s, outcome)
 
     def run(self, arrivals) -> ServeReport:
@@ -973,73 +951,59 @@ class TridentServer:
         submitted = len(self._arrivals)
         admitted_ids: set[int] = set()
 
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=self.config.executor_threads,
-                thread_name_prefix="repro-serve",
-            )
-            if self.config.executor_threads > 0
-            else None
-        )
-        self._pool = pool
-        try:
-            with _trace_span("serve", requests=submitted):
-                while True:
-                    event = self._next_event()
-                    if event is None:
-                        if len(self.queue) == 0:
-                            break
-                        # Queue is non-empty but no events remain: the only
-                        # way forward is an OPEN breaker becoming probeable.
-                        probes = [
-                            b.next_probe_s()
-                            for b in self.breakers.values()
-                            if b.next_probe_s() is not None
-                        ]
-                        if not probes:
-                            for request in self.queue.pop_batch(len(self.queue)):
-                                self._record_shed(
-                                    request,
-                                    ShedReason.NO_WORKER,
-                                    "all workers quarantined at drain",
-                                )
-                            break
-                        self.clock.advance_to(
-                            max(self.clock.now(), min(probes))
-                        )
-                        self._dispatch_all()
-                        continue
-                    t, category = event
-                    self.clock.advance_to(max(self.clock.now(), t))
-                    if category == _COMPLETION:
-                        self._run_completions(self._pop_due_completions(t))
-                    elif category == _INGEST:
-                        # Pure wake-up: an overlapped worker's first stage
-                        # freed; the dispatch pass below does the work.
-                        while (
-                            self._ingest_events
-                            and self._ingest_events[0][0] <= t
-                        ):
-                            heapq.heappop(self._ingest_events)
-                    elif category == _ACTION:
-                        _, _, name, fn = self._actions[self._action_index]
-                        self._action_index += 1
-                        self._decide("action", name=name)
-                        fn(self)
-                    elif category == _RETRY:
-                        _, _, request = heapq.heappop(self._retries)
-                        if self._admit(request, is_retry=True):
-                            admitted_ids.add(request.request_id)
-                    else:  # _ARRIVAL
-                        request = self._arrivals[self._arrival_index]
-                        self._arrival_index += 1
-                        if self._admit(request, is_retry=False):
-                            admitted_ids.add(request.request_id)
+        with _trace_span("serve", requests=submitted):
+            while True:
+                event = self._next_event()
+                if event is None:
+                    if len(self.queue) == 0:
+                        break
+                    # Queue is non-empty but no events remain: the only
+                    # way forward is an OPEN breaker becoming probeable.
+                    probes = [
+                        b.next_probe_s()
+                        for b in self.breakers.values()
+                        if b.next_probe_s() is not None
+                    ]
+                    if not probes:
+                        for request in self.queue.pop_batch(len(self.queue)):
+                            self._record_shed(
+                                request,
+                                ShedReason.NO_WORKER,
+                                "all workers quarantined at drain",
+                            )
+                        break
+                    self.clock.advance_to(
+                        max(self.clock.now(), min(probes))
+                    )
                     self._dispatch_all()
-        finally:
-            self._pool = None
-            if pool is not None:
-                pool.shutdown(wait=True)
+                    continue
+                t, category = event
+                self.clock.advance_to(max(self.clock.now(), t))
+                if category == _COMPLETION:
+                    self._run_completions(self._pop_due_completions(t))
+                elif category == _INGEST:
+                    # Pure wake-up: an overlapped worker's first stage
+                    # freed; the dispatch pass below does the work.
+                    while (
+                        self._ingest_events
+                        and self._ingest_events[0][0] <= t
+                    ):
+                        heapq.heappop(self._ingest_events)
+                elif category == _ACTION:
+                    _, _, name, fn = self._actions[self._action_index]
+                    self._action_index += 1
+                    self._decide("action", name=name)
+                    fn(self)
+                elif category == _RETRY:
+                    _, _, request = heapq.heappop(self._retries)
+                    if self._admit(request, is_retry=True):
+                        admitted_ids.add(request.request_id)
+                else:  # _ARRIVAL
+                    request = self._arrivals[self._arrival_index]
+                    self._arrival_index += 1
+                    if self._admit(request, is_retry=False):
+                        admitted_ids.add(request.request_id)
+                self._dispatch_all()
 
         report = ServeReport(
             submitted=submitted,

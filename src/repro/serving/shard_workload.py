@@ -39,14 +39,28 @@ from repro.serving.workload import ServeRunResult, mlp_weights, serve_arrivals
 from repro.sharding import ShardPlan, plan_pipeline
 
 
+#: PE budget of one shard-sized chip.
+SHARD_N_PES = 6
+#: Window the request burst arrives in [s].
+ARRIVAL_WINDOW_S = 4e-6
+#: Mid-run fault: the pipeline stage degraded, its stuck-cell fraction,
+#: and when [s].
+DEGRADE_STAGE = 1
+DEGRADE_FRACTION = 0.04
+DEGRADE_AT_S = 8e-6
+#: Stage-breaker cooldown [s] (shorter than the server's, so a repaired
+#: stage is probeable by the time the server's half-open window runs).
+STAGE_COOLDOWN_S = 2.5e-6
+
+
 @dataclass(frozen=True)
 class ShardWorkloadConfig:
     """Shape of the sharded smoke run."""
 
     #: Model widths — must overflow one shard (the gate checks it does).
     dims: tuple[int, ...] = (8, 24, 16, 4)
-    #: Shard geometry: per-chip PE budget and bank size.
-    shard_n_pes: int = 6
+    #: Shard geometry: bank size (the per-chip PE budget is
+    #: ``SHARD_N_PES``).
     bank_rows: int = 8
     bank_cols: int = 8
     #: Spare rows per bank plus spare PEs per chip — repair headroom.
@@ -56,14 +70,6 @@ class ShardWorkloadConfig:
     #: Burst of best-effort requests (no deadlines, so the overlap vs
     #: serialized makespans compare the same completed set).
     n_requests: int = 240
-    arrival_window_s: float = 4e-6
-    #: Mid-run fault: stuck-cell fraction, target stage, injection time.
-    degrade_fraction: float = 0.04
-    degrade_stage: int = 1
-    degrade_at_s: float = 8e-6
-    #: Stage-breaker cooldown (shorter than the server's, so a repaired
-    #: stage is probeable by the time the server's half-open window runs).
-    stage_cooldown_s: float = 2.5e-6
     server: ServerConfig = ServerConfig(
         max_queue_depth=512, max_retries=5, breaker_cooldown_s=5e-6, seed=11
     )
@@ -77,15 +83,13 @@ class ShardWorkloadConfig:
             raise ServingError(
                 f"n_requests must be >= 1, got {self.n_requests}"
             )
-        if not 0.0 < self.degrade_fraction < 1.0:
-            raise ServingError("degrade fraction must be in (0, 1)")
 
     def shard_config(self):
         """The per-chip configuration the planner budgets against."""
         from repro.arch.config import TridentConfig
 
         return TridentConfig(
-            n_pes=self.shard_n_pes,
+            n_pes=SHARD_N_PES,
             bank_rows=self.bank_rows,
             bank_cols=self.bank_cols,
             spare_rows=self.spare_rows,
@@ -162,7 +166,7 @@ def build_pipeline_worker(
         program_verify=config.deterministic_verify(),
         with_managers=True,
         spare_pes=config.spare_pes,
-        stage_cooldown_s=config.stage_cooldown_s,
+        stage_cooldown_s=STAGE_COOLDOWN_S,
     )
 
 
@@ -171,7 +175,7 @@ def synthesize_shard_arrivals(
 ) -> list[InferenceRequest]:
     """A seeded burst of best-effort requests inside the arrival window."""
     rng = np.random.default_rng(config.seed + 2)
-    times = np.sort(rng.uniform(0.0, config.arrival_window_s, config.n_requests))
+    times = np.sort(rng.uniform(0.0, ARRIVAL_WINDOW_S, config.n_requests))
     return [
         InferenceRequest(
             request_id=i,
@@ -203,14 +207,14 @@ def run_shard_workload(
     server = TridentServer([worker], config=config.server)
     arrivals = synthesize_shard_arrivals(config)
     if degrade:
-        fraction = config.degrade_fraction
-        stage = config.degrade_stage
+        fraction = DEGRADE_FRACTION
+        stage = DEGRADE_STAGE
 
         def force_stage_degradation(srv: TridentServer) -> None:
             srv.workers[0].degrade(fraction, stuck_level=254, stage=stage)
 
         server.schedule_action(
-            config.degrade_at_s, "degrade_stage", force_stage_degradation
+            DEGRADE_AT_S, "degrade_stage", force_stage_degradation
         )
     return serve_arrivals(server, arrivals, chaos_plan)
 
@@ -298,7 +302,7 @@ def shard_smoke_checks(
 
     tripped, restored = trip_and_restore(fault_report.breaker_transitions)
     stage_tripped, stage_restored = trip_and_restore(
-        fault_worker.stage_breaker_transitions, stage=config.degrade_stage
+        fault_worker.stage_breaker_transitions, stage=DEGRADE_STAGE
     )
     reasons_ok = all(
         isinstance(r.reason, ShedReason) and r.detail

@@ -46,6 +46,14 @@ class Phase:
             raise ServingError(f"{self.name}: rate multiplier must be positive")
 
 
+#: P(priority = 0 / 1 / 2) for each arrival.
+PRIORITY_PROBS = (0.97, 0.025, 0.005)
+#: Fraction of requests carrying a hard deadline (rest best-effort).
+DEADLINE_FRACTION = 0.9
+#: The phase (by name) the forced degradation lands in.
+DEGRADE_PHASE = "drain"
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Shape of the synthetic serving run."""
@@ -58,14 +66,8 @@ class WorkloadConfig:
         Phase("burst", 400, 2.0),
         Phase("drain", 400, 0.35),
     )
-    #: P(priority = 0 / 1 / 2) for each arrival.
-    priority_probs: tuple[float, ...] = (0.97, 0.025, 0.005)
-    #: Fraction of requests carrying a hard deadline (rest best-effort).
-    deadline_fraction: float = 0.9
     #: Stuck-cell fraction injected into the degraded worker mid-run.
     degrade_fraction: float = 0.08
-    #: Which phase the forced degradation lands in (by name).
-    degrade_phase: str = "drain"
     server: ServerConfig = ServerConfig(breaker_cooldown_s=5e-6, seed=7)
 
     def __post_init__(self) -> None:
@@ -73,15 +75,12 @@ class WorkloadConfig:
             raise ServingError(f"dims must be >= 2 positive widths, got {self.dims}")
         if self.n_workers < 1:
             raise ServingError(f"n_workers must be >= 1, got {self.n_workers}")
-        if abs(sum(self.priority_probs) - 1.0) > 1e-9:
-            raise ServingError("priority probabilities must sum to 1")
-        if not 0.0 <= self.deadline_fraction <= 1.0:
-            raise ServingError("deadline fraction must be in [0, 1]")
         if not 0.0 <= self.degrade_fraction <= 1.0:
             raise ServingError("degrade fraction must be in [0, 1]")
-        if not any(p.name == self.degrade_phase for p in self.phases):
+        if not any(p.name == DEGRADE_PHASE for p in self.phases):
             raise ServingError(
-                f"degrade phase {self.degrade_phase!r} is not a phase name"
+                f"phases need a {DEGRADE_PHASE!r} phase for the forced "
+                "degradation"
             )
 
 
@@ -171,10 +170,10 @@ def synthesize_arrivals(
         for _ in range(phase.n_requests):
             t += float(rng.exponential(1.0 / lam))
             priority = int(
-                rng.choice(len(config.priority_probs), p=config.priority_probs)
+                rng.choice(len(PRIORITY_PROBS), p=PRIORITY_PROBS)
             )
             deadline = (
-                t + slo if rng.random() < config.deadline_fraction else None
+                t + slo if rng.random() < DEADLINE_FRACTION else None
             )
             requests.append(
                 InferenceRequest(
@@ -271,7 +270,7 @@ def run_serve_workload(
     """Build the fleet, synthesize arrivals, serve to completion.
 
     The first worker is forced into PCM degradation a quarter of the way
-    into ``degrade_phase`` (stuck-cell injection + readback refresh), so
+    into the ``DEGRADE_PHASE`` phase (stuck-cell injection + readback refresh), so
     its batches start failing, its breaker trips, and the half-open
     repair path has to win the worker back under live traffic.  A
     ``degrade_fraction`` of 0 schedules no degradation at all.
@@ -289,7 +288,7 @@ def run_serve_workload(
 
     fraction = config.degrade_fraction
     if fraction > 0.0:
-        start, end = windows[config.degrade_phase]
+        start, end = windows[DEGRADE_PHASE]
 
         def force_degradation(srv: TridentServer) -> None:
             srv.workers[0].degrade(fraction, stuck_level=254)

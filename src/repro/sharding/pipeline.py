@@ -70,16 +70,6 @@ class PipelineStage:
     #: One accelerator per row split (exactly one unless row-sharded).
     parts: list[TridentAccelerator]
 
-    @property
-    def in_dim(self) -> int:
-        """Stage input width."""
-        return self.spec.dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        """Stage output width."""
-        return self.spec.dims[-1]
-
     def forward_batch(self, xs: np.ndarray, record: bool = False) -> np.ndarray:
         """Run a (B, in_dim) slab through this stage's accelerators."""
         if len(self.parts) == 1:
@@ -110,11 +100,6 @@ class ShardedPipeline:
     def input_dim(self) -> int:
         """Model input width."""
         return self.plan.dims[0]
-
-    @property
-    def output_dim(self) -> int:
-        """Model output width."""
-        return self.plan.dims[-1]
 
     @property
     def accelerators(self) -> list[TridentAccelerator]:

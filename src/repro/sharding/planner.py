@@ -73,11 +73,6 @@ class StageSpec:
     service_time_s: float
 
     @property
-    def n_layers(self) -> int:
-        """Member layer count."""
-        return self.layer_stop - self.layer_start
-
-    @property
     def n_parts(self) -> int:
         """Accelerators this stage spans (1 unless row-sharded)."""
         return len(self.row_splits)

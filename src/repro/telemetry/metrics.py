@@ -25,7 +25,6 @@ parses every dump it emits, so a formatting regression fails loudly.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -331,13 +330,6 @@ class MetricsRegistry:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_prometheus(), encoding="utf-8")
-        return path
-
-    def write_json(self, path: str | Path) -> Path:
-        """Write :meth:`to_json` to ``path``; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
         return path
 
 

@@ -44,11 +44,6 @@ class DigitalDFA:
         ]
         self._act_grad = ACTIVATIONS[activation][1]
 
-    @property
-    def weights(self) -> list[np.ndarray]:
-        """The trained weight matrices."""
-        return self.mlp.weights
-
     def train_step(self, x: np.ndarray, labels: np.ndarray, lr: float = 0.05) -> float:
         """One DFA step; returns the batch loss."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

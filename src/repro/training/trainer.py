@@ -51,11 +51,6 @@ class TrainingHistory:
         """Number of recorded epochs."""
         return len(self.losses)
 
-    @property
-    def total_time_s(self) -> float:
-        """Wall-clock time summed over the recorded epochs."""
-        return float(sum(self.epoch_times_s))
-
 
 def train_classifier(
     model: Classifier,

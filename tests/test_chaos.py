@@ -368,6 +368,62 @@ class TestAudit:
         result = audit_serve_run(tampered)
         assert any("atomic_batches" in f for f in result.failed())
 
+    def test_tampered_outputs_and_sheds_fail_with_labels(self):
+        from repro.chaos import audit_serve_run
+
+        report = _soak_serve_run(0, True).report
+        assert report.shed and report.completed
+        first = report.completed[0]
+        poisoned = dataclasses.replace(
+            first, output=np.full_like(first.output, np.nan)
+        )
+        unreasoned = [
+            dict(r, reason="mystery") if r["kind"] == "shed" else r
+            for r in report.decisions
+        ]
+        tampered = dataclasses.replace(
+            report,
+            completed=[poisoned] + report.completed[1:],
+            decisions=unreasoned,
+        )
+        failed = audit_serve_run(tampered).failed()
+        assert any(f.startswith("structured_shed_reasons: ") for f in failed)
+        rid = first.request.request_id
+        assert f"finite_outputs: non-finite outputs reached requests [{rid}]" in failed
+
+    def test_replay_completion_mismatches_are_named(self):
+        from repro.chaos import audit_serve_run
+
+        report = _soak_serve_run(0, False).report
+        fewer = dataclasses.replace(report, completed=report.completed[1:])
+        n = len(report.completed)
+        assert f"bit_identical_replay: {n} vs {n - 1} completions" in (
+            audit_serve_run(report, replay=fewer).failed()
+        )
+        first = report.completed[0]
+        nudged = dataclasses.replace(
+            report,
+            completed=[dataclasses.replace(first, output=first.output + 1.0)]
+            + report.completed[1:],
+        )
+        rid = first.request.request_id
+        assert f"bit_identical_replay: outputs differ for request {rid}" in (
+            audit_serve_run(report, replay=nudged).failed()
+        )
+
+    def test_audit_result_as_dict(self):
+        from repro.chaos import AuditResult
+
+        result = AuditResult()
+        result.record("conservation", True)
+        result.record("finite_outputs", False, "2 NaN outputs")
+        doc = result.as_dict()
+        assert doc["ok"] is False
+        assert doc["checks"][1] == {
+            "name": "finite_outputs", "ok": False, "detail": "2 NaN outputs"
+        }
+        assert json.loads(json.dumps(doc)) == doc
+
     def test_replay_mismatch_detected(self):
         from repro.chaos import audit_serve_run
 
@@ -493,6 +549,34 @@ class TestSoak:
         assert cell["digest"]
         assert sum(cell["injections_applied"].values()) >= 1
         assert cell["telemetry"] is None  # only failures get snapshots
+
+    def test_flaky_cell_fails_with_telemetry_snapshot(self, monkeypatch):
+        from repro import telemetry
+        from repro.chaos import soak
+
+        seeds = []
+
+        def flaky(seed, chaos_enabled):
+            # Every attempt hashes differently: a nondeterministic cell.
+            seeds.append(seed)
+            telemetry.emit_event("flaky_attempt", n=len(seeds))
+            return {
+                "ok": True, "failed": [], "digest": str(len(seeds)),
+                "applied": {}, "detail": {},
+            }
+
+        monkeypatch.setitem(soak._SCENARIOS, "serve", flaky)
+        cell = run_cell("serve", 3, repeats=2, chaos_enabled=False)
+        assert not cell["ok"] and cell["digest"] == ""
+        assert cell["failed_checks"] == [
+            "nondeterministic: 2 distinct digests over 2 repeats"
+        ]
+        # The failing cell is re-run once under a telemetry session.
+        assert seeds == [3, 3, 3]
+        snapshot = cell["telemetry"]
+        assert snapshot["failed"] == []
+        assert [e["kind"] for e in snapshot["events"]] == ["flaky_attempt"]
+        assert snapshot["events"][0]["n"] == 3
 
     def test_matrix_schema_valid_and_renderable(self):
         doc = run_soak(

@@ -213,6 +213,59 @@ class TestServeCommand:
         assert not telemetry.enabled()
 
 
+class TestNonSmokeCommands:
+    """The plain (non-gate) bodies of the serving and campaign commands."""
+
+    def test_serve_run(self, run):
+        code, out = run("serve", "--requests", "30")
+        assert code == 0
+        assert "serving summary" in out
+
+    def test_shard_run(self, run):
+        code, out = run("shard", "--requests", "24")
+        assert code == 0
+        assert "single shard refuses the model" in out
+        assert "overlapped makespan" in out
+
+    def test_integrity_run(self, run):
+        code, out = run("integrity", "--requests", "40")
+        assert code == 0
+        assert "attestation counters" in out
+        assert "worker 1 thresholds" in out
+
+    def test_fleet_run_writes_report(self, run, tmp_path):
+        import json
+
+        path = tmp_path / "fleet.json"
+        code, out = run("fleet", "--no-chaos", "--out", str(path))
+        assert code == 0
+        assert "fleet run: scenario=smoke seed=11" in out
+        doc = json.loads(path.read_text())
+        assert doc["serve"]["conservation_ok"]
+        assert doc["controller"]["stopped"]
+
+    def test_resume_needs_a_checkpoint_dir(self, run):
+        code, out = run("resume")
+        assert code == 2
+        assert "--checkpoint-dir is required" in out
+
+    def test_resume_continues_a_halted_campaign(self, run, tmp_path):
+        from repro.faults import CampaignConfig, run_campaign
+
+        config = CampaignConfig.smoke()
+        run_campaign(config, checkpoint_dir=tmp_path, max_cells=1)
+        code, out = run("resume", "--checkpoint-dir", str(tmp_path))
+        assert code == 0
+        assert out == run_campaign(config).render() + "\n"
+
+    def test_soak_without_gate(self, run):
+        code, out = run(
+            "soak", "--scenarios", "serve", "--seeds", "1", "--repeats", "1"
+        )
+        assert code == 0
+        assert "soak gate" not in out
+
+
 class TestErrorHygiene:
     """Domain errors exit 2 with one structured line, never a traceback."""
 

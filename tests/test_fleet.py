@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
+from repro.fleet.controller import SDC_QUARANTINE_COUNT, SHED_LOW_FLOOR
 from repro.fleet import (
     Burst,
     ControllerConfig,
@@ -276,7 +277,7 @@ class TestControllerPolicy:
         controller._apply_rung_policy()
         applied = len(controller.actuations)
         assert applied > 0
-        assert server.min_priority == controller.config.shed_low_floor
+        assert server.min_priority == SHED_LOW_FLOOR
         controller._apply_rung_policy()  # same rung again: no new actuations
         assert len(controller.actuations) == applied
 
@@ -291,12 +292,35 @@ class TestControllerPolicy:
         assert server.frozen_kinds == set()
         assert server.batcher.slo_latency_s == controller.base_batch_slo_s
 
+    def test_brownout_drains_fleet_down_to_power_cap(self):
+        pool, server = _pool_with_server(n=4)
+        config = ControllerConfig(
+            min_workers=2,
+            max_workers=8,
+            per_worker_power_w=0.25,
+            power_budget_w=1.0,
+            brownout_power_fraction=0.5,
+        )
+        controller = FleetController(server, pool, ServingRollup(1e-5), config)
+        controller._set_rung(LADDER.index("brownout"), reason="test")
+        caps = [a for a in controller.actuations if a["action"] == "brownout_cap"]
+        assert [(a["cap"], a["drained"]) for a in caps] == [(2, 2)]
+        # The highest ids drain; the two lowest keep serving.
+        assert pool.ids_in("draining") == [2, 3]
+        assert pool.ids_in("active") == [0, 1]
+        assert server.draining == {2, 3}
+        drains = [d["worker"] for d in server.decisions if d["kind"] == "drain_begin"]
+        assert drains == [3, 2]
+        # At the cap already: re-applying the rung drains nothing more.
+        controller._apply_rung_policy()
+        assert [a for a in controller.actuations if a["action"] == "brownout_cap"] == caps
+
     def test_sdc_quarantine_trips_breaker_at_threshold(self):
         from repro.serving.breaker import BreakerState
 
         controller, server = self._controller()
         rollup = ServingRollup(window_s=1.0)
-        for _ in range(controller.config.sdc_quarantine_count):
+        for _ in range(SDC_QUARANTINE_COUNT):
             rollup.record_sdc(0.1, worker_id=0)
         rollup.record_sdc(0.1, worker_id=1)  # below threshold: untouched
         stats = rollup.window_stats(0.5, slo_latency_s=1e-5)
@@ -399,3 +423,20 @@ class TestFleetAudit:
         result.pool.checkpoint_digests.clear()
         audit = audit_fleet_run(result)
         assert any("decommissions_checkpointed" in f for f in audit.failed())
+
+    def test_audit_flags_unconverged_ladder_and_unlogged_actuation(self):
+        from repro.chaos.audit import audit_fleet_run
+
+        result = run_fleet_workload(_tiny_scenario(), controlled=True)
+        controller = result.controller
+        controller.degraded_entries += 1
+        controller.actuations.append({"action": "phantom", "t": 0.0})
+        failed = audit_fleet_run(result).failed()
+        n = len(controller.actuations)
+        assert (
+            f"degraded_mode_converged: entries={controller.degraded_entries} "
+            f"exits={controller.degraded_exits} final=nominal"
+        ) in failed
+        assert (
+            f"actuations_logged: {n} actuations vs {n - 1} decision records"
+        ) in failed

@@ -157,6 +157,11 @@ class TestPoolAndFriends:
         bn = BatchNorm("bn")
         assert bn.params([TensorShape(8, 8, 64)]) == 128
 
+    def test_batchnorm_passthrough_and_repr(self):
+        bn = BatchNorm("bn")
+        assert bn.output_shape([IN224]) == IN224
+        assert repr(bn) == "BatchNorm('bn')"
+
 
 class TestAddConcat:
     def test_add_same_shapes(self):

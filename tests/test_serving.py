@@ -52,6 +52,7 @@ class TestVirtualClock:
         clock.advance(1.5)
         clock.advance_to(2.0)
         assert clock.now() == 2.0
+        assert repr(clock) == "VirtualClock(t=2.0)"
 
     def test_rejects_rewind(self):
         clock = VirtualClock(start_s=1.0)
@@ -450,6 +451,28 @@ class TestTridentServer:
         with pytest.raises(ServingError):
             server.run([req(0, 0.0, n_in=6), req(0, 1.0, n_in=6)])
 
+    def test_drain_of_only_worker_sheds_queue_as_no_worker(self):
+        # The lone worker begins draining while requests wait: nothing can
+        # ever dispatch them, so the loop sheds the residue as no_worker
+        # instead of hanging.
+        server = TridentServer(
+            [make_worker(0)],
+            config=ServerConfig(
+                max_queue_depth=8, max_batch=2, slo_latency_s=1e-4
+            ),
+        )
+        server.schedule_action(1e-11, "drain", lambda s: s.begin_drain(0))
+        report = server.run([req(i, i * 1e-12, n_in=6) for i in range(6)])
+        assert report.conservation_ok()
+        no_worker = [
+            r for r in report.shed if r.reason is ShedReason.NO_WORKER
+        ]
+        assert no_worker and all(r.detail for r in no_worker)
+        assert len(report.completed) + len(no_worker) == 6
+        kinds = [d["kind"] for d in report.decisions]
+        assert "dispatch" not in kinds[kinds.index("drain_begin"):]
+        assert report.shed_by_reason() == {"no_worker": len(no_worker)}
+
     def test_config_validation(self):
         with pytest.raises(ServingError):
             ServerConfig(max_queue_depth=0)
@@ -457,14 +480,6 @@ class TestTridentServer:
             ServerConfig(slo_latency_s=0.0)
         with pytest.raises(ServingError):
             ServerConfig(retry_backoff_factor=0.5)
-
-    def test_thread_pool_execution_matches_inline(self):
-        arrivals = [req(i, i * 1e-7, n_in=6) for i in range(12)]
-        inline, _ = self.serve(arrivals, n_workers=2)
-        pooled, _ = self.serve(arrivals, n_workers=2, executor_threads=2)
-        assert inline.decisions == pooled.decisions
-        for a, b in zip(inline.completed, pooled.completed):
-            assert np.array_equal(a.output, b.output)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.serving import (
     TridentServer,
 )
 from repro.serving.shard_workload import (
+    DEGRADE_STAGE,
     ShardWorkloadConfig,
     build_pipeline_worker,
     build_reference_accelerator,
@@ -359,6 +360,19 @@ class TestShardedWorkerScheduling:
         assert worker.batches_executed == executed_before
         assert worker.batches_failed == 1
 
+    def test_health_snapshot_walks_stages(self):
+        worker = build_pipeline_worker(self.CFG, overlap=True)
+        health = worker.health()
+        assert health["healthy"] and health["worker"] == 0
+        assert [s["stage"] for s in health["stages"]] == list(
+            range(len(worker.stages))
+        )
+        assert all(s["breaker"] == "closed" for s in health["stages"])
+        worker.degrade(0.08, stuck_level=254, stage=1)
+        degraded = worker.health()["stages"][1]
+        assert degraded["unconverged_fraction"] > 0
+        assert degraded["parts"] == len(worker.stages[1].stage.parts)
+
     def test_repair_restores_health_and_outputs(self):
         worker = build_pipeline_worker(self.CFG, overlap=True)
         reference = build_reference_accelerator(self.CFG)
@@ -445,11 +459,11 @@ class TestShardServing:
         assert report.conservation_ok()
         stage_events = worker.stage_breaker_transitions
         assert any(
-            t["to"] == "open" and t["stage"] == self.CFG.degrade_stage
+            t["to"] == "open" and t["stage"] == DEGRADE_STAGE
             for t in stage_events
         )
         assert any(
-            t["to"] == "closed" and t["stage"] == self.CFG.degrade_stage
+            t["to"] == "closed" and t["stage"] == DEGRADE_STAGE
             for t in stage_events
         )
         assert any(t["to"] == "open" for t in report.breaker_transitions)

@@ -221,6 +221,13 @@ class TestMetrics:
         with pytest.raises(ConfigError):
             c.inc(-1)
 
+    def test_gauge_inc_adjusts_both_ways(self):
+        gauge = telemetry.MetricsRegistry().gauge("repro_level")
+        gauge.set(1.0)
+        gauge.inc()
+        gauge.inc(-0.5)
+        assert gauge.value == 1.5
+
     def test_get_or_create_returns_same_instrument(self):
         reg = telemetry.MetricsRegistry()
         assert reg.counter("a_total") is reg.counter("a_total")
@@ -312,6 +319,19 @@ class TestSession:
         assert telemetry.histogram("h") is NULL_INSTRUMENT
         assert telemetry.emit_event("kind") is None
         assert NULL_METRICS.counter("x") is NULL_INSTRUMENT
+
+    def test_null_sinks_discard_everything(self):
+        from repro.telemetry.session import NULL_EVENTS, NULL_TRACER
+
+        assert NULL_METRICS.gauge("g") is NULL_INSTRUMENT
+        assert NULL_METRICS.histogram("h") is NULL_INSTRUMENT
+        assert NULL_EVENTS.emit("kind", a=1) is None
+        assert NULL_EVENTS.records == ()
+        with NULL_TRACER.span("s", detail=True) as span:
+            assert span is not None
+        assert NULL_TRACER.span("s") is NULL_SPAN
+        assert NULL_TRACER.records == ()
+        assert NULL_TRACER.coverage() == 1.0
 
     def test_session_scopes_enablement(self):
         assert not telemetry.enabled()
@@ -806,12 +826,3 @@ class TestOtlpExport:
         problems = telemetry.validate_otlp(bad_metric)
         assert any("exactly one of" in p for p in problems)
         assert any("bucketCounts" in p for p in problems)
-
-    def test_protobuf_encode_is_gated(self):
-        t = self.session_doc()
-        doc = telemetry.spans_to_otlp(t.tracer.records)
-        if telemetry.otlp_protobuf_available():
-            assert isinstance(telemetry.encode_protobuf(doc), bytes)
-        else:
-            with pytest.raises(ConfigError, match="opentelemetry-proto"):
-                telemetry.encode_protobuf(doc)
